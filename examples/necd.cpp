@@ -355,6 +355,8 @@ int RunListen(const Args& args) {
           net::NetStatsToMetricFamilies(server.StatsSnapshot(), "server");
       fams.insert(fams.end(), net_fams.begin(), net_fams.end());
       fams.push_back(runtime::HopLatencyFamily());
+      auto mem_fams = runtime::SharedMemoryFamilies();
+      fams.insert(fams.end(), mem_fams.begin(), mem_fams.end());
       return fams;
     };
     metrics.Handle("/metrics", [families](const std::string&,
@@ -724,6 +726,8 @@ int main(int argc, char** argv) {
     const auto families = [&manager] {
       auto fams = runtime::SnapshotToMetricFamilies(manager.Stats());
       fams.push_back(runtime::HopLatencyFamily());
+      auto mem_fams = runtime::SharedMemoryFamilies();
+      fams.insert(fams.end(), mem_fams.begin(), mem_fams.end());
       return fams;
     };
     server.Handle("/metrics", [families](const std::string&,

@@ -2,13 +2,77 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "dsp/biquad.h"
 #include "dsp/resample.h"
 
 namespace nec::channel {
+namespace {
+
+using CarrierTable = std::vector<double>;
+
+struct CarrierCache {
+  std::mutex mu;
+  /// Keyed by (carrier Hz, air rate). An entry is immutable once
+  /// published; growing it publishes a longer table in its place, and
+  /// callers still holding the shorter one keep it alive until done.
+  std::map<std::pair<double, int>, std::shared_ptr<const CarrierTable>>
+      tables;
+};
+
+CarrierCache& Carriers() {
+  static CarrierCache cache;
+  return cache;
+}
+
+/// The carrier cos(w*i), i < at least `length`, for one (carrier, air
+/// rate), shared process-wide: every session of a process reads the same
+/// table, which grows to the longest chunk requested. Entries are
+/// computed with the exact expression the per-sample modulator used, so
+/// a lookup is the same double as the call it replaces.
+std::shared_ptr<const CarrierTable> GetCarrierTable(double carrier_hz,
+                                                    int air_rate,
+                                                    std::size_t length) {
+  CarrierCache& cache = Carriers();
+  const std::pair<double, int> key{carrier_hz, air_rate};
+  {
+    std::lock_guard lock(cache.mu);
+    const auto it = cache.tables.find(key);
+    if (it != cache.tables.end() && it->second->size() >= length) {
+      return it->second;
+    }
+  }
+  // Built outside the lock; two threads may race to grow the same key, and
+  // since the entries are deterministic the longer table wins.
+  const double w = 2.0 * std::numbers::pi * carrier_hz / air_rate;
+  auto table = std::make_shared<CarrierTable>(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    (*table)[i] = std::cos(w * static_cast<double>(i));
+  }
+  std::lock_guard lock(cache.mu);
+  auto& slot = cache.tables[key];
+  if (!slot || slot->size() < table->size()) slot = std::move(table);
+  return slot;
+}
+
+}  // namespace
+
+std::size_t CarrierCacheBytes() {
+  CarrierCache& cache = Carriers();
+  std::lock_guard lock(cache.mu);
+  std::size_t bytes = 0;
+  for (const auto& [key, table] : cache.tables) {
+    bytes += table->size() * sizeof(double);
+  }
+  return bytes;
+}
 
 void ModulateAmInto(const audio::Waveform& baseband,
                     const ModulationConfig& config, dsp::ResamplerPlan& plan,
@@ -32,13 +96,13 @@ void ModulateAmInto(const audio::Waveform& baseband,
     if (peak > 0.0f) out.Scale(1.0f / peak);  // |m| <= 1
   }
 
-  const double w = 2.0 * std::numbers::pi * config.carrier_hz /
-                   config.air_sample_rate;
+  const auto table = GetCarrierTable(config.carrier_hz,
+                                     config.air_sample_rate, out.size());
+  const double* carrier = table->data();
   const double norm = config.peak / (1.0 + config.alpha);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    const double carrier = std::cos(w * static_cast<double>(i));
     out[i] = static_cast<float>(
-        (static_cast<double>(out[i]) + config.alpha) * carrier * norm);
+        (static_cast<double>(out[i]) + config.alpha) * carrier[i] * norm);
   }
 }
 

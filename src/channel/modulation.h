@@ -48,9 +48,19 @@ audio::Waveform ModulateAm(const audio::Waveform& baseband,
 /// steady-state `out` the per-chunk call performs no allocation. The
 /// streaming dispatcher owns one plan per session next to its stream-wide
 /// reference-peak latch.
+///
+/// The carrier cos(2*pi*f_c*i/fs_air) is read from a process-wide table
+/// per (carrier, air rate), never one per session. Its entries are the
+/// values std::cos returns for the same argument, so the output is the
+/// same as evaluating the carrier per sample; the table grows to the
+/// longest chunk modulated (8 bytes per air sample: 1.5 MB for a 1 s
+/// chunk at 192 kHz), and only that growth allocates.
 void ModulateAmInto(const audio::Waveform& baseband,
                     const ModulationConfig& config, dsp::ResamplerPlan& plan,
                     audio::Waveform& out);
+
+/// Bytes held by the process-wide carrier tables (diagnostic).
+std::size_t CarrierCacheBytes();
 
 /// Ideal coherent demodulation — test/diagnostic reference only (real
 /// recorders rely on their nonlinearity; see MicrophoneModel). Returns the

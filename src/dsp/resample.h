@@ -3,9 +3,21 @@
 // The NEC simulation runs the audible world at 16 kHz (the paper's rate)
 // and the over-the-air ultrasound channel at 192 kHz so that 24–28 kHz
 // carriers and their second-order intermodulation products are represented
-// without aliasing. Upsampling by 12 (16k → 192k) and decimating by 12
-// (192k → 16k inside the microphone model) are the hot paths; both are
-// implemented as efficient polyphase FIR structures.
+// without aliasing. Upsampling by 12 (16k → 192k, once per streamed chunk
+// in the Broadcast module) and decimating by 12 (192k → 16k inside the
+// microphone model) are the hot paths.
+//
+// Every L/M runs one phase-major polyphase kernel. The outputs
+// n = r + q*L share one tap phase, and their newest input index advances
+// by M per q, so the kernel walks each residue r once, with the phase's
+// taps (split out as double when the plan binds) and no per-tap division
+// or bounds test. Outputs whose taps all land inside the input are
+// computed eight at a time in independent double accumulators; the few
+// at either end, where the input runs out, take a bounded scalar loop.
+// Each output still starts from 0.0 and adds its taps in ascending tap
+// order with the same double product, exactly as a direct per-output
+// loop does, so the result is bit for bit that loop's (see
+// tests/test_fir_resample.cpp, which keeps it as an oracle).
 #pragma once
 
 #include "audio/waveform.h"
@@ -35,7 +47,11 @@ struct ResamplerPlan {
   std::size_t taps_per_phase = 0;
   std::size_t up = 0;    ///< L: interpolation factor
   std::size_t down = 0;  ///< M: decimation factor
-  std::vector<float> taps;
+  std::size_t num_taps = 0;  ///< length of the designed low-pass FIR
+  /// The FIR split by phase: tap j = p + t*L of the design is
+  /// phase_taps[phase_begin[p] + t], widened to double.
+  std::vector<double> phase_taps;
+  std::vector<std::size_t> phase_begin;  ///< L + 1 offsets into phase_taps
 };
 
 /// Resample into a caller-owned output buffer, reusing `plan`'s cached

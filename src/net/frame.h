@@ -5,7 +5,7 @@
 //
 //   offset  size  field
 //   0       4     magic      0x4E454331 ("NEC1", LE on the wire)
-//   4       1     version    kProtocolVersion (1)
+//   4       1     version    kProtocolVersion (2)
 //   5       1     type       FrameType
 //   6       2     reserved   must be 0
 //   8       8     session id client-assigned wire session id (LE)
@@ -66,8 +66,8 @@ enum class FrameType : std::uint8_t {
   // ------------------------------------------------------------- v2
   kAuthChallenge = 12,  ///< server → client: u64 nonce (sent instead of
                         ///< kHelloAck when a shared secret is configured)
-  kAuthResponse = 13,   ///< client → server: u64 tag = SipHash(secret,
-                        ///< nonce || header session id)
+  kAuthResponse = 13,   ///< client → server: u64 tag =
+                        ///< AuthTag(secret, nonce) (auth.h)
   kAuthReject = 14,     ///< server → client: u32 ErrorCategory, then
                         ///< message bytes; connection closes after
   kStatusRequest = 15,  ///< router → shard: empty (post-auth)
@@ -100,7 +100,8 @@ struct Frame {
 };
 
 /// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the classic
-/// zlib polynomial, table-driven.
+/// zlib polynomial, computed slice-by-8 (eight bytes per step through
+/// eight derived tables; the value equals the bytewise table CRC).
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t size);
 inline std::uint32_t Crc32(std::span<const std::uint8_t> data) {
   return Crc32(data.data(), data.size());

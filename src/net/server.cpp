@@ -115,6 +115,7 @@ void NetServer::Serve() {
     const std::size_t polled = pfds.size() - 1;
     if (pfds[0].revents & POLLIN) AcceptPending();
 
+    if (!retiring_.empty()) ReleaseRetired();
     const std::uint64_t now = NowMs();
     // Iterate by index: HandleFrame never mutates connections_.
     for (std::size_t i = 0; i < polled; ++i) {
@@ -142,6 +143,8 @@ void NetServer::Serve() {
         alive = false;
       }
       if (!alive) {
+        // Sessions the peer never closed die with the connection.
+        for (const WireSession& session : conn.sessions) Retire(session.id);
         CloseConnection(conn, /*dropped=*/!conn.close_after_write ||
                                   conn.out_off < conn.outbound.size());
         connections_.erase(connections_.begin() +
@@ -394,6 +397,7 @@ bool NetServer::HandleFrame(Connection& conn, Frame&& frame) {
                     r.error->message);
           if (r.error->category != runtime::ErrorCategory::kBadInput) {
             stats_.AddSessionFaulted();
+            Retire(session->id);
             conn.sessions.erase(
                 conn.sessions.begin() + (session - conn.sessions.data()));
           }
@@ -534,6 +538,7 @@ void NetServer::PumpSessions(Connection& conn) {
               runtime::ErrorCategory::kInvariant, "session faulted"});
       SendError(conn, session.wire_sid, error.category, error.message);
       stats_.AddSessionFaulted();
+      Retire(session.id);
       conn.sessions.erase(conn.sessions.begin() +
                           static_cast<std::ptrdiff_t>(i));
       --i;
@@ -581,9 +586,9 @@ void NetServer::PumpSessions(Connection& conn) {
         snapshot.session_id = session.wire_sid;
         PutSessionSnapshot(&snapshot.payload, payload);
         SendFrame(conn, snapshot);
-        // Reclaim the backing session: reuse buffers reset, modulation
-        // latch cleared. Migrated, not closed and not faulted.
-        manager_->ResetSession(session.id);
+        // The stream lives on at the destination: free the backing
+        // session here. Migrated, not closed and not faulted.
+        Retire(session.id);
         stats_.AddSessionMigrated();
         conn.sessions.erase(conn.sessions.begin() +
                             static_cast<std::ptrdiff_t>(i));
@@ -625,11 +630,25 @@ void NetServer::PumpSessions(Connection& conn) {
       closed.session_id = session.wire_sid;
       SendFrame(conn, closed);
       stats_.AddSessionClosed();
+      Retire(session.id);
       conn.sessions.erase(conn.sessions.begin() +
                           static_cast<std::ptrdiff_t>(i));
       --i;
     }
   }
+}
+
+void NetServer::Retire(runtime::SessionManager::SessionId id) {
+  if (!manager_->ReleaseSession(id)) retiring_.push_back(id);
+}
+
+void NetServer::ReleaseRetired() {
+  // A retired session still had a strand or a batch inside it; it is
+  // released on a later tick, once that has finished. Input it had not
+  // consumed is discarded with it.
+  std::erase_if(retiring_, [this](runtime::SessionManager::SessionId id) {
+    return manager_->ReleaseSession(id);
+  });
 }
 
 void NetServer::SendFrame(Connection& conn, const Frame& frame) {

@@ -108,6 +108,11 @@ class NetServer {
   bool HandleFrame(Connection& conn, Frame&& frame);
   /// Streams TakeOutput/fault/close progress for every session of `conn`.
   void PumpSessions(Connection& conn);
+  /// Hands a finished session (closed, migrated away, faulted, or left
+  /// open by a dropped connection) back to the manager: released now,
+  /// or on a later tick while a strand or batch is still inside it.
+  void Retire(runtime::SessionManager::SessionId id);
+  void ReleaseRetired();
   void SendFrame(Connection& conn, const Frame& frame);
   void SendError(Connection& conn, std::uint64_t wire_sid,
                  runtime::ErrorCategory category, const std::string& message);
@@ -129,6 +134,9 @@ class NetServer {
   std::atomic<std::int64_t> status_depth_override_{-1};
   int port_ = 0;
   TcpListener listener_;
+  /// Finished sessions waiting for their last strand or batch to end;
+  /// poll thread only.
+  std::vector<runtime::SessionManager::SessionId> retiring_;
   std::vector<std::unique_ptr<Connection>> connections_;
 };
 

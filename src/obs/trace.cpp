@@ -39,7 +39,9 @@ std::uint64_t FlowSalt() {
 }
 
 /// Registry of every thread's ring. Rings are owned here, not by the
-/// threads, so events of an exited worker survive until export.
+/// threads, so events of an exited worker survive until export. A ring
+/// registered while tracing is off holds only its tid and name; Enable
+/// sizes it, so a process that never traces pays no event storage.
 struct Registry {
   std::mutex mu;
   std::vector<std::unique_ptr<internal::ThreadRing>> rings;
@@ -66,7 +68,9 @@ std::uint64_t TraceNowNs() {
 namespace internal {
 
 struct ThreadRing {
-  std::vector<TraceEvent> events;  ///< fixed capacity once registered
+  /// Empty until tracing is enabled, then fixed capacity; resized only
+  /// by Enable, under the snapshot lock.
+  std::vector<TraceEvent> events;
   std::size_t head = 0;            ///< next write index
   std::uint64_t recorded = 0;      ///< lifetime writes (drops = rec - held)
   std::uint32_t tid = 0;
@@ -87,6 +91,12 @@ struct ThreadRing {
 
   void Write(const TraceEvent& ev) {
     Lock();
+    if (events.empty()) {
+      // A record that raced Enable before Enable reached this ring: drop
+      // it (the trace starts at Enable) rather than index an empty ring.
+      Unlock();
+      return;
+    }
     events[head] = ev;
     head = head + 1 == events.size() ? 0 : head + 1;
     ++recorded;
@@ -120,7 +130,9 @@ internal::ThreadRing* TraceRecorder::RingForThisThread() {
     std::lock_guard lock(reg.mu);
     auto owned = std::make_unique<ThreadRing>();
     owned->tid = reg.next_tid++;
-    owned->events.resize(reg.ring_capacity);
+    // enabled_ flips under reg.mu in Enable, so a ring registered after
+    // that sees it; one registered before is sized by Enable's loop.
+    if (enabled()) owned->events.resize(reg.ring_capacity);
     ring = owned.get();
     reg.rings.push_back(std::move(owned));
   }
@@ -133,6 +145,7 @@ void TraceRecorder::Enable(std::size_t ring_capacity) {
     std::lock_guard lock(reg.mu);
     if (ring_capacity == 0) ring_capacity = 1;
     reg.ring_capacity = ring_capacity;
+    enabled_.store(true, std::memory_order_relaxed);
     for (auto& ring : reg.rings) {
       ring->Lock();
       ring->events.assign(ring_capacity, TraceEvent{});
@@ -141,7 +154,6 @@ void TraceRecorder::Enable(std::size_t ring_capacity) {
       ring->Unlock();
     }
   }
-  enabled_.store(true, std::memory_order_relaxed);
 }
 
 void TraceRecorder::Disable() {
@@ -218,6 +230,18 @@ std::uint64_t TraceRecorder::events_recorded() const {
     ring->Unlock();
   }
   return held;
+}
+
+std::size_t TraceRecorder::event_storage_bytes() const {
+  Registry& reg = GetRegistry();
+  std::lock_guard lock(reg.mu);
+  std::size_t bytes = 0;
+  for (const auto& ring : reg.rings) {
+    ring->Lock();
+    bytes += ring->events.capacity() * sizeof(TraceEvent);
+    ring->Unlock();
+  }
+  return bytes;
 }
 
 std::uint64_t TraceRecorder::events_dropped() const {

@@ -86,7 +86,10 @@ class TraceRecorder {
 
   /// Arms span recording. Rings (existing and future) hold
   /// `ring_capacity` events each; an already-registered thread's ring is
-  /// cleared and resized. Quiescence contract applies.
+  /// cleared and resized. Until the first Enable a thread's ring holds no
+  /// event storage, and rings registered while tracing is off stay empty
+  /// until the next Enable. Quiescence contract applies; a record that
+  /// races Enable is dropped, never written into an unsized ring.
   void Enable(std::size_t ring_capacity = kDefaultRingCapacity);
   void Disable();
 
@@ -127,6 +130,8 @@ class TraceRecorder {
   std::uint64_t events_recorded() const;
   /// Events overwritten by ring wraparound (recorded - held).
   std::uint64_t events_dropped() const;
+  /// Bytes of event storage held by all rings (diagnostic).
+  std::size_t event_storage_bytes() const;
 
   /// Writes `{"traceEvents": [...]}` Chrome trace JSON: one "M" metadata
   /// event per named thread, then every held event in ring order.

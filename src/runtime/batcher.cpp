@@ -67,8 +67,23 @@ std::size_t ContinuousBatcher::Purge(void* key) {
   std::lock_guard lock(mu_);
   auto it = lanes_.find(key);
   if (it == lanes_.end()) return 0;
-  const std::size_t removed = it->second.fifo.size();
-  it->second.fifo.clear();
+  return ClearPendingLocked(it->second);
+}
+
+bool ContinuousBatcher::Forget(void* key, std::size_t* purged) {
+  std::lock_guard lock(mu_);
+  *purged = 0;
+  const auto it = lanes_.find(key);
+  if (it == lanes_.end()) return true;
+  if (it->second.in_flight) return false;
+  *purged = ClearPendingLocked(it->second);
+  lanes_.erase(it);
+  return true;
+}
+
+std::size_t ContinuousBatcher::ClearPendingLocked(Lane& lane) {
+  const std::size_t removed = lane.fifo.size();
+  lane.fifo.clear();
   pending_count_ -= removed;
   if (pending_count_ == 0 && active_batches_ == 0) {
     drained_cv_.notify_all();

@@ -115,6 +115,13 @@ class ContinuousBatcher {
   /// (tested in test_runtime_faults).
   std::size_t Purge(void* key);
 
+  /// Drops `key`'s lane, pending chunks included, before the key's owner
+  /// is freed, so the lane map does not grow with every session ever
+  /// served. Returns false and changes nothing while a running batch
+  /// holds the lane; otherwise `*purged` gets the number of pending
+  /// chunks dropped. Thread-safe.
+  bool Forget(void* key, std::size_t* purged);
+
   /// Pending (not yet dispatched) chunks of `key`. Thread-safe; a
   /// diagnostic snapshot — the count can change before the caller acts.
   std::size_t pending_for(void* key) const;
@@ -152,6 +159,9 @@ class ContinuousBatcher {
   bool GatherLocked(std::vector<Item>& batch, std::vector<Lane*>& claimed);
   /// True iff some lane has a pending chunk and is not in flight.
   bool HasEligibleLocked() const;
+  /// Empties `lane`'s pending FIFO and wakes whoever waits on the pending
+  /// count; returns how many chunks were removed.
+  std::size_t ClearPendingLocked(Lane& lane);
 
   const Options options_;
   const BatchFn fn_;

@@ -96,6 +96,7 @@ SessionManager::SessionId SessionManager::CreateSession(
 SessionManager::Session* SessionManager::GetSession(SessionId id) const {
   std::lock_guard lock(sessions_mu_);
   NEC_CHECK_MSG(id < sessions_.size(), "unknown session id " << id);
+  NEC_CHECK_MSG(sessions_[id] != nullptr, "session " << id << " was released");
   return sessions_[id].get();
 }
 
@@ -249,7 +250,7 @@ void SessionManager::RunStrandBatched(Session* s) {
         batcher_->Enqueue(s, s->proc.PopChunk(), std::exchange(flow, 0));
       }
     } catch (...) {
-      FaultSession(s, ClassifyCurrentException());
+      FaultSession(s, ClassifyCurrentException(), /*ends_strand=*/true);
       break;
     }
   }
@@ -360,7 +361,9 @@ bool SessionManager::ProcessOneChunk(
           continue;
         }
       }
-      FaultSession(s, std::move(err));
+      // Unbatched, this runs on the session's strand; batched, only on
+      // the dispatcher holding its lane.
+      FaultSession(s, std::move(err), /*ends_strand=*/batcher_ == nullptr);
       return false;
     }
   }
@@ -457,7 +460,7 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
           UpdateWatchdogLocked(s, DegradeLevel::kNeural, /*probe=*/false,
                                total_ms);
         } catch (...) {
-          FaultSession(s, ClassifyCurrentException());
+          FaultSession(s, ClassifyCurrentException(), /*ends_strand=*/false);
         }
         break;
       case Route::kSingle:
@@ -536,29 +539,35 @@ void SessionManager::HandleGenerationError(
       return;
     }
   }
-  FaultSession(s, std::move(error));
+  FaultSession(s, std::move(error), /*ends_strand=*/false);
 }
 
-void SessionManager::FaultSession(Session* s, SessionError error) {
+void SessionManager::FaultSession(Session* s, SessionError error,
+                                  bool ends_strand) {
+  const SessionId id = s->id;
   const ErrorCategory category = error.category;
   std::size_t shed = 0;
+  if (batcher_ != nullptr) {
+    // Pending chunks of the dead session must not land in (or stall) a
+    // later batch; items already dispatched are shed by RunBatch's
+    // disposition pass. Purged before `running` can drop below: once it
+    // does, the owner may release the session and a new one may reuse
+    // its address as a lane key.
+    shed += batcher_->Purge(s) * chunk_samples_;
+  }
   {
     std::lock_guard lock(s->mu);
     if (!s->error.has_value()) s->error = std::move(error);  // first wins
     ++s->fault_count;
-    shed = s->inbox.size();
+    shed += s->inbox.size();
     s->inbox.clear();
-    s->running = false;
-  }
-  if (batcher_ != nullptr) {
-    // Pending chunks of the dead session must not land in (or stall) a
-    // later batch; items already dispatched are shed by RunBatch's
-    // disposition pass.
-    shed += batcher_->Purge(s) * chunk_samples_;
+    // A dispatcher leaves `running` to the strand (if any), which ends
+    // itself when it next sees the recorded error.
+    if (ends_strand) s->running = false;
   }
   stats_.AddFault(category);
   stats_.AddSamplesDropped(shed);
-  obs::TraceInstant("session.fault", s->id);
+  obs::TraceInstant("session.fault", id);
 }
 
 void SessionManager::StepDownLocked(Session* s) {
@@ -623,21 +632,24 @@ void SessionManager::AbandonStrand(Session* s) {
   // redispatch, Flush fails its idle check, and Drain deadlocks on the
   // leaked in_flight_ count. Runs on the thread whose Submit caused the
   // eviction; the evicted task itself can no longer run.
+  const SessionId id = s->id;  // s may be released once idle (below)
   std::size_t discarded = 0;
-  {
-    std::lock_guard lock(s->mu);
-    discarded = s->inbox.size();
-    s->inbox.clear();
-    s->running = false;
-  }
   if (batcher_ != nullptr) {
     // The session's already-popped chunks waiting in its batcher lane are
     // part of the evicted backlog: purge them so none lands in a later
-    // batch (in-flight batch items complete normally).
+    // batch (in-flight batch items complete normally). Done while
+    // `running` still holds the session, so its address is never used
+    // after it can be released (and reused by a new session).
     discarded += batcher_->Purge(s) * chunk_samples_;
   }
+  {
+    std::lock_guard lock(s->mu);
+    discarded += s->inbox.size();
+    s->inbox.clear();
+    s->running = false;
+  }
   stats_.AddSamplesDropped(discarded);
-  obs::TraceInstant("strand.drop", s->id);
+  obs::TraceInstant("strand.drop", id);
   FinishStrand();
 }
 
@@ -694,8 +706,7 @@ audio::Waveform SessionManager::TakeOutput(
   return std::exchange(s->output, audio::Waveform());
 }
 
-runtime::SessionStatus SessionManager::SessionStatus(SessionId id) const {
-  Session* s = GetSession(id);
+runtime::SessionStatus SessionManager::StatusOf(Session* s) {
   std::lock_guard lock(s->mu);
   runtime::SessionStatus status;
   if (s->error.has_value()) {
@@ -711,6 +722,25 @@ runtime::SessionStatus SessionManager::SessionStatus(SessionId id) const {
   status.faults = s->fault_count;
   status.deadline_misses = s->miss_count;
   return status;
+}
+
+runtime::SessionStatus SessionManager::SessionStatus(SessionId id) const {
+  return StatusOf(GetSession(id));
+}
+
+std::vector<std::pair<SessionManager::SessionId, runtime::SessionStatus>>
+SessionManager::SessionStatuses() const {
+  // sessions_mu_ is held across the walk: ReleaseSession takes it to
+  // unlink a session before freeing it, so every session read here stays
+  // alive (lock order sessions_mu_ -> Session::mu).
+  std::lock_guard lock(sessions_mu_);
+  std::vector<std::pair<SessionId, runtime::SessionStatus>> out;
+  for (SessionId id = 0; id < sessions_.size(); ++id) {
+    if (sessions_[id] != nullptr) {
+      out.emplace_back(id, StatusOf(sessions_[id].get()));
+    }
+  }
+  return out;
 }
 
 void SessionManager::ResetSession(SessionId id) {
@@ -781,6 +811,29 @@ void SessionManager::RestoreSession(SessionId id,
   s->proc.RestoreStreamState(snapshot.tail, snapshot.mod_reference_peak);
 }
 
+bool SessionManager::ReleaseSession(SessionId id) {
+  Session* s = GetSession(id);
+  std::size_t discarded = 0;
+  {
+    std::lock_guard lock(s->mu);
+    if (s->running) return false;
+    discarded = s->inbox.size();
+  }
+  if (batcher_ != nullptr) {
+    std::size_t purged = 0;
+    if (!batcher_->Forget(s, &purged)) return false;
+    discarded += purged * chunk_samples_;
+  }
+  stats_.AddSamplesDropped(discarded);
+  std::unique_ptr<Session> released;
+  {
+    std::lock_guard lock(sessions_mu_);
+    released = std::move(sessions_[id]);
+  }
+  // Destroyed here, outside sessions_mu_.
+  return true;
+}
+
 core::ModuleTimings SessionManager::SessionTimings(SessionId id) const {
   return GetSession(id)->proc.timings();
 }
@@ -795,7 +848,9 @@ RuntimeStatsSnapshot SessionManager::Stats() const {
 
 std::size_t SessionManager::num_sessions() const {
   std::lock_guard lock(sessions_mu_);
-  return sessions_.size();
+  return static_cast<std::size_t>(
+      std::count_if(sessions_.begin(), sessions_.end(),
+                    [](const auto& session) { return session != nullptr; }));
 }
 
 }  // namespace nec::runtime

@@ -60,6 +60,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "audio/waveform.h"
@@ -236,8 +237,16 @@ class SessionManager {
       std::chrono::steady_clock::time_point* produced_since = nullptr);
 
   /// One session's health: lifecycle state, recorded error (if faulted),
-  /// current degradation rung, and lifetime counters. Thread-safe.
+  /// current degradation rung, and lifetime counters. Safe against the
+  /// session's own processing; like every call that names one id, only
+  /// the session's owner makes it (see ReleaseSession).
   runtime::SessionStatus SessionStatus(SessionId id) const;
+
+  /// Every live session's id and status, ascending by id, read under the
+  /// session table lock so no session can be released mid-read. The form
+  /// for threads that do not own the sessions (metrics, /sessions).
+  std::vector<std::pair<SessionId, runtime::SessionStatus>> SessionStatuses()
+      const;
 
   /// Returns a faulted (or idle) session to service: clears the recorded
   /// error, discards any buffered backlog and partial-chunk tail, resets
@@ -257,7 +266,7 @@ class SessionManager {
   /// quiescence (NEC_CHECK) and a healthy session — a faulted one
   /// returns nullopt (its backlog was shed; there is no stream left to
   /// continue). The session itself is untouched: callers typically
-  /// ResetSession() afterwards to reclaim it.
+  /// ReleaseSession() afterwards to free it.
   std::optional<SessionSnapshot> ExportSession(SessionId id);
 
   /// Installs a migrated snapshot onto a freshly created (never
@@ -265,12 +274,32 @@ class SessionManager {
   /// the exporting session having continued. NEC_CHECKs freshness.
   void RestoreSession(SessionId id, const SessionSnapshot& snapshot);
 
+  /// Frees a finished session: its pipeline, STFT and arena scratch, and
+  /// output buffers. Returns false, changing nothing, while a strand or a
+  /// running batch is still inside the session — call again later.
+  /// Otherwise input not yet processed (inbox, chunks pending in the
+  /// batcher) is discarded and counted as dropped samples, untaken output
+  /// is discarded, and the session is freed. The id is never reused: it
+  /// stays behind as a tombstone, so a later call naming it raises
+  /// CheckError ("released") instead of touching freed memory, and the
+  /// session count and SessionStatuses skip it.
+  ///
+  /// Ownership: the per-id calls (Submit, Flush, TakeOutput,
+  /// SessionStatus, ResetSession, SessionQuiescent, Export/Restore,
+  /// SessionTimings, ReleaseSession) resolve the id to the session once
+  /// and then use it unlocked, so they must not run concurrently with the
+  /// session's release. Make them from the thread that owns the session
+  /// (for a NetServer, its poll thread); other threads use
+  /// SessionStatuses, num_sessions and Stats.
+  [[nodiscard]] bool ReleaseSession(SessionId id);
+
   /// Per-module latency accounting of one session's processor. Call while
   /// the session is idle (after Drain): the counters are strand-owned.
   core::ModuleTimings SessionTimings(SessionId id) const;
 
   RuntimeStatsSnapshot Stats() const;
 
+  /// Live sessions: created and not yet released.
   std::size_t num_sessions() const;
   std::size_t workers() const { return pool_.workers(); }
   std::size_t chunk_samples() const { return chunk_samples_; }
@@ -335,6 +364,7 @@ class SessionManager {
   };
 
   Session* GetSession(SessionId id) const;
+  static runtime::SessionStatus StatusOf(Session* session);
   void RunStrand(Session* session);
   void RunStrandBatched(Session* session);
   /// Batch callback; up to Options::workers run concurrently, always on
@@ -375,9 +405,11 @@ class SessionManager {
   void HandleGenerationError(Session* session, audio::Waveform chunk,
                              SessionError error,
                              std::chrono::steady_clock::time_point ready);
-  /// Records the fault, sheds the session's backlog (inbox + pending
-  /// batcher items), and returns it to a non-running state.
-  void FaultSession(Session* session, SessionError error);
+  /// Records the fault and sheds the session's backlog (inbox + pending
+  /// batcher items). `ends_strand`: the caller is the session's strand,
+  /// which returns right after, so `running` drops here; a dispatcher
+  /// passes false and a strand in flight ends itself on seeing the error.
+  void FaultSession(Session* session, SessionError error, bool ends_strand);
   /// Ladder step-down with stats. Caller holds session->mu.
   void StepDownLocked(Session* session);
   /// Watchdog bookkeeping after a successfully emitted chunk. Caller
@@ -395,6 +427,7 @@ class SessionManager {
   std::size_t chunk_samples_ = 0;
 
   mutable std::mutex sessions_mu_;
+  /// Indexed by id; a released session leaves a null tombstone.
   std::vector<std::unique_ptr<Session>> sessions_;
 
   mutable std::mutex drain_mu_;

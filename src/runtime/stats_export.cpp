@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <utility>
 
+#include "channel/modulation.h"
+#include "obs/trace.h"
+
 namespace nec::runtime {
 namespace {
 
@@ -234,6 +237,18 @@ std::vector<obs::MetricFamily> SnapshotToMetricFamilies(
   return out;
 }
 
+std::vector<obs::MetricFamily> SharedMemoryFamilies() {
+  return {
+      obs::MakeGauge("nec_carrier_table_bytes",
+                     "Bytes held by the shared AM carrier tables",
+                     static_cast<double>(channel::CarrierCacheBytes())),
+      obs::MakeGauge(
+          "nec_trace_ring_bytes", "Bytes of trace event storage",
+          static_cast<double>(
+              obs::TraceRecorder::Global().event_storage_bytes())),
+  };
+}
+
 std::string SessionStatusJson(std::size_t id, const SessionStatus& status) {
   std::string out = "{\"id\":" + std::to_string(id);
   out += ",\"state\":\"";
@@ -256,10 +271,11 @@ std::string SessionStatusJson(std::size_t id, const SessionStatus& status) {
 
 std::string SessionsJson(const SessionManager& manager) {
   std::string out = "{\"sessions\":[";
-  const std::size_t n = manager.num_sessions();
-  for (std::size_t id = 0; id < n; ++id) {
-    if (id > 0) out += ',';
-    out += SessionStatusJson(id, manager.SessionStatus(id));
+  bool first = true;
+  for (const auto& [id, status] : manager.SessionStatuses()) {
+    if (!first) out += ',';
+    first = false;
+    out += SessionStatusJson(id, status);
   }
   out += "]}";
   return out;

@@ -28,6 +28,12 @@ std::vector<obs::MetricFamily> SnapshotToMetricFamilies(
 /// a shard never emits router hops and vice versa.
 obs::MetricFamily HopLatencyFamily();
 
+/// Process-wide memory shared by every session, as gauges: the carrier
+/// tables of the AM modulator (`nec_carrier_table_bytes`, see
+/// channel::ModulateAmInto) and the event storage of the trace rings
+/// (`nec_trace_ring_bytes`, zero until tracing is first enabled).
+std::vector<obs::MetricFamily> SharedMemoryFamilies();
+
 /// Outcome of folding one scraped histogram surface into a fleet
 /// accumulator.
 enum class HistogramMergeStatus {
@@ -57,8 +63,9 @@ HistogramMergeStatus MergeHistogramData(const obs::HistogramData& src,
 /// "deadline_misses":..,"error":..}.
 std::string SessionStatusJson(std::size_t id, const SessionStatus& status);
 
-/// Every session of `manager` as a JSON array of SessionStatusJson
-/// objects. Thread-safe (SessionStatus is).
+/// Every live session of `manager` as a JSON array of SessionStatusJson
+/// objects. Safe from any thread, also while sessions are being released
+/// (built from SessionManager::SessionStatuses).
 std::string SessionsJson(const SessionManager& manager);
 
 }  // namespace nec::runtime

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <numeric>
+#include <random>
+#include <vector>
 
 #include "common/check.h"
 #include "dsp/fir.h"
@@ -149,6 +153,111 @@ TEST(Resample, RejectsBadRates) {
   EXPECT_THROW(Resample(w, 0), nec::CheckError);
   EXPECT_THROW(Resample(w, -8000), nec::CheckError);
 }
+
+// ------------------------------------------------ bit-identity vs oracle
+
+// The direct per-output polyphase loop the phase-major kernel replaced,
+// kept as the oracle: for each output, one tap at a time in ascending tap
+// order with an integer division per tap and bounds tests in the loop.
+audio::Waveform OracleResample(const audio::Waveform& input, int target_rate,
+                               std::size_t taps_per_phase = 24) {
+  if (input.sample_rate() == target_rate) return input;
+  audio::Waveform out;
+  if (input.empty()) {
+    out.AssignSilence(target_rate, 0);
+    return out;
+  }
+  const int src = input.sample_rate();
+  const int g = std::gcd(src, target_rate);
+  const std::size_t L = static_cast<std::size_t>(target_rate / g);
+  const std::size_t M = static_cast<std::size_t>(src / g);
+  std::size_t num_taps = taps_per_phase * std::max(L, M);
+  if (num_taps % 2 == 0) ++num_taps;
+  const std::vector<float> taps =
+      DesignFirLowPass(num_taps, 0.45 * std::min(src, target_rate),
+                       static_cast<double>(src) * L);
+
+  const std::size_t out_len = (input.size() * L + M - 1) / M;
+  out.AssignSilence(target_rate, out_len);
+  const auto x = input.samples();
+  const auto delay = static_cast<std::ptrdiff_t>(taps.size() / 2);
+  const float gain = static_cast<float>(L);
+  for (std::size_t n = 0; n < out_len; ++n) {
+    const std::ptrdiff_t u = static_cast<std::ptrdiff_t>(n * M) + delay;
+    const std::size_t phase = static_cast<std::size_t>(u % L);
+    double acc = 0.0;
+    for (std::size_t j = phase; j < taps.size(); j += L) {
+      const std::ptrdiff_t k = (u - static_cast<std::ptrdiff_t>(j)) /
+                               static_cast<std::ptrdiff_t>(L);
+      if (k < 0) break;
+      if (k >= static_cast<std::ptrdiff_t>(x.size())) continue;
+      acc += static_cast<double>(taps[j]) * x[static_cast<std::size_t>(k)];
+    }
+    out[n] = gain * static_cast<float>(acc);
+  }
+  return out;
+}
+
+audio::Waveform Noise(int rate, std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  audio::Waveform w(rate, n);
+  for (std::size_t i = 0; i < n; ++i) w[i] = dist(rng);
+  return w;
+}
+
+bool SameBits(const audio::Waveform& a, const audio::Waveform& b) {
+  return a.sample_rate() == b.sample_rate() && a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.samples().data(), b.samples().data(),
+                      a.size() * sizeof(float)) == 0);
+}
+
+class ResampleOracleTest
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(ResampleOracleTest, KernelMatchesDirectLoopBitForBit) {
+  const auto [src, dst] = GetParam();
+  // One filter span in input samples: the FIR covers taps_per_phase * max
+  // (L, M) upsampled samples, i.e. 24 * max(L, M) / L input samples.
+  const int g = std::gcd(src, dst);
+  const std::size_t L = static_cast<std::size_t>(dst / g);
+  const std::size_t M = static_cast<std::size_t>(src / g);
+  const std::size_t span = 24 * std::max(L, M) / L;
+  const std::size_t chunk = static_cast<std::size_t>(src);  // one 1 s chunk
+  ResamplerPlan plan;  // one warm plan across lengths, as a stream uses it
+  audio::Waveform into;
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                        std::size_t{7}, span / 2, span - 1, span + 3, chunk,
+                        chunk / 3 + 1}) {
+    const audio::Waveform w = Noise(src, n, static_cast<std::uint32_t>(n));
+    const audio::Waveform want = OracleResample(w, dst);
+    EXPECT_TRUE(SameBits(Resample(w, dst), want))
+        << src << " -> " << dst << " length " << n;
+    ResampleInto(w, dst, plan, into);
+    EXPECT_TRUE(SameBits(into, want))
+        << src << " -> " << dst << " length " << n << " (warm plan)";
+  }
+}
+
+TEST(ResampleOracle, OtherTapCountsMatchDirectLoop) {
+  for (std::size_t tpp : {std::size_t{1}, std::size_t{4}, std::size_t{9}}) {
+    const audio::Waveform w = Noise(16000, 777, 5);
+    EXPECT_TRUE(SameBits(Resample(w, 192000, tpp),
+                         OracleResample(w, 192000, tpp)))
+        << "taps_per_phase " << tpp;
+    const audio::Waveform v = Noise(48000, 777, 6);
+    EXPECT_TRUE(SameBits(Resample(v, 16000, tpp),
+                         OracleResample(v, 16000, tpp)))
+        << "taps_per_phase " << tpp;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rates, ResampleOracleTest,
+    ::testing::Values(std::pair{16000, 192000}, std::pair{192000, 16000},
+                      std::pair{16000, 44100}, std::pair{44100, 16000},
+                      std::pair{16000, 48000}));
 
 }  // namespace
 }  // namespace nec::dsp

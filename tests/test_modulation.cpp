@@ -2,8 +2,12 @@
 // inaudibility, and ideal-demodulation round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <random>
+#include <vector>
 
 #include "channel/modulation.h"
 #include "common/check.h"
@@ -230,6 +234,92 @@ TEST(Modulation, EnvelopeIsNonNegativeAtUnitAlpha) {
     }
     EXPECT_GT(peak, 0.0f);
   }
+}
+
+// ------------------------------------------------ bit-identity vs oracle
+
+// The modulator as it was before the carrier table: the same envelope
+// steps, with std::cos evaluated per sample. Kept as the oracle.
+audio::Waveform OracleModulateAm(const audio::Waveform& baseband,
+                                 const ModulationConfig& config) {
+  audio::Waveform out = dsp::Resample(baseband, config.air_sample_rate);
+  if (config.reference_peak > 0.0) {
+    const float scale = static_cast<float>(1.0 / config.reference_peak);
+    for (float& s : out.samples()) s = std::clamp(s * scale, -1.0f, 1.0f);
+  } else {
+    const float peak = out.Peak();
+    if (peak > 0.0f) out.Scale(1.0f / peak);
+  }
+  const double w = 2.0 * std::numbers::pi * config.carrier_hz /
+                   config.air_sample_rate;
+  const double norm = config.peak / (1.0 + config.alpha);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double carrier = std::cos(w * static_cast<double>(i));
+    out[i] = static_cast<float>(
+        (static_cast<double>(out[i]) + config.alpha) * carrier * norm);
+  }
+  return out;
+}
+
+audio::Waveform Noise(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> dist(-0.4f, 0.4f);
+  audio::Waveform w(16000, n);
+  for (std::size_t i = 0; i < n; ++i) w[i] = dist(rng);
+  return w;
+}
+
+bool SameBits(const audio::Waveform& a, const audio::Waveform& b) {
+  return a.sample_rate() == b.sample_rate() && a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.samples().data(), b.samples().data(),
+                      a.size() * sizeof(float)) == 0);
+}
+
+class ModulationOracleTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(ModulationOracleTest, CarrierTableMatchesPerSampleCosBitForBit) {
+  const std::size_t chunk = 16000;  // one 1 s streaming chunk
+  // Lengths 0, 1, 5, 7 and one shorter than the resampler's filter span
+  // come first, so the shared table also grows mid-sequence; the shorter
+  // flush-tail chunk after the full one reads a prefix of the grown table.
+  const std::vector<std::size_t> lengths = {0, 1, 5, 7, 20, chunk, 6123};
+  for (const double ref : {0.0, 0.3}) {
+    ModulationConfig cfg{.carrier_hz = GetParam()};
+    cfg.reference_peak = ref;
+    dsp::ResamplerPlan plan;  // one stream's warm plan
+    audio::Waveform into;
+    for (std::size_t n : lengths) {
+      const audio::Waveform base = Noise(n, static_cast<std::uint32_t>(n));
+      const audio::Waveform want = OracleModulateAm(base, cfg);
+      ModulateAmInto(base, cfg, plan, into);
+      EXPECT_TRUE(SameBits(into, want))
+          << cfg.carrier_hz << " Hz, reference_peak " << ref << ", length "
+          << n;
+      EXPECT_TRUE(SameBits(ModulateAm(base, cfg), want))
+          << cfg.carrier_hz << " Hz, reference_peak " << ref << ", length "
+          << n << " (plan-free)";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Carriers, ModulationOracleTest,
+                         ::testing::Values(24000.0, 27000.0, 30000.0));
+
+TEST(Modulation, CarrierTableIsSharedAcrossStreams) {
+  // Eight streams on a carrier no other test uses add one table, sized to
+  // the longest chunk, not one table per stream.
+  const std::size_t before = CarrierCacheBytes();
+  ModulationConfig cfg{.carrier_hz = 25500.0};
+  cfg.reference_peak = 0.5;
+  const audio::Waveform chunk = Noise(16000, 9);
+  for (int stream = 0; stream < 8; ++stream) {
+    dsp::ResamplerPlan plan;
+    audio::Waveform out;
+    ModulateAmInto(chunk, cfg, plan, out);
+    ModulateAmInto(chunk.Slice(0, 4000), cfg, plan, out);
+  }
+  EXPECT_EQ(CarrierCacheBytes() - before, 16000u * 12u * sizeof(double));
 }
 
 }  // namespace

@@ -37,6 +37,7 @@
 #include "obs/trace.h"
 #include "runtime/fault.h"
 #include "runtime/session_manager.h"
+#include "runtime/stats_export.h"
 #include "synth/dataset.h"
 
 namespace nec::net {
@@ -49,6 +50,36 @@ TEST(Crc32, KnownAnswers) {
   EXPECT_EQ(Crc32(reinterpret_cast<const std::uint8_t*>(check), 9),
             0xCBF43926u);
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+// Bit-at-a-time CRC-32 with the same polynomial and init/xorout: the
+// definition the sliced tables must reproduce.
+std::uint32_t BitwiseCrc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedMatchesBitwiseAtEveryAlignment) {
+  std::mt19937 rng(1234);
+  std::vector<std::uint8_t> buf(4099 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  std::vector<std::size_t> lengths = {4099, 4098, 4096};
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  std::uniform_int_distribution<std::size_t> len_dist(0, 4099);
+  for (int i = 0; i < 200; ++i) lengths.push_back(len_dist(rng));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n : lengths) {
+      const std::uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, n), BitwiseCrc32(p, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
 }
 
 Frame MakeFrame(FrameType type, std::uint64_t sid,
@@ -599,6 +630,18 @@ std::vector<float> MakeStream(std::uint64_t speaker_seed,
 
 // ----------------------------------------------------- server end-to-end
 
+/// A shard releases a finished session on its poll thread, at the latest
+/// a tick after the session goes quiescent: wait briefly for that.
+std::size_t LiveSessionsAfterSettling(const runtime::SessionManager& manager) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (manager.num_sessions() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return manager.num_sessions();
+}
+
 TEST(NetServerE2E, ServesBitIdenticalShadowsToInProcessManager) {
   SharedModel model;
   runtime::SessionManager manager(model.selector, model.encoder, {},
@@ -651,6 +694,48 @@ TEST(NetServerE2E, ServesBitIdenticalShadowsToInProcessManager) {
   EXPECT_EQ(stats.sessions_closed, 1u);
   EXPECT_EQ(stats.decode_errors, 0u);
   EXPECT_GT(stats.bytes_out, 0u);
+  // The closed session was freed on the shard, not kept for good.
+  EXPECT_EQ(LiveSessionsAfterSettling(manager), 0u);
+  server.Stop();
+}
+
+TEST(NetServerE2E, DroppedConnectionFreesItsSessions) {
+  // A peer that vanishes without kCloseSession must not leave its
+  // sessions on the shard for good, including one with a chunk in flight.
+  // Meanwhile a monitoring thread renders /sessions, as necd's metrics
+  // thread does, while the poll thread releases them.
+  SharedModel model;
+  runtime::SessionManager manager(model.selector, model.encoder, {},
+                                  model.ManagerOptions());
+  NetServer server(&manager, {});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  // Joined on scope exit, before the server and manager it reads.
+  std::jthread monitor([&manager](std::stop_token stop) {
+    while (!stop.stop_requested()) {
+      const std::string json = runtime::SessionsJson(manager);
+      EXPECT_EQ(json.rfind("{\"sessions\":[", 0), 0u);
+    }
+  });
+  const std::vector<float> stream = MakeStream(7, 8, 1.0);
+  for (int round = 0; round < 2; ++round) {
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), 2000, &error))
+        << error;
+    HelloInfo hello;
+    ASSERT_TRUE(client.Hello(&hello, 5000, &error)) << error;
+    for (std::uint64_t sid = 1; sid <= 3; ++sid) {
+      ASSERT_TRUE(client.OpenSession(sid, 40 + sid, 50 + sid, 10000, &error))
+          << error;
+    }
+    ASSERT_TRUE(client.SubmitChunk(
+        1, std::span<const float>(stream.data(), hello.chunk_samples),
+        &error))
+        << error;
+  }  // each client closes its socket here
+  EXPECT_EQ(LiveSessionsAfterSettling(manager), 0u);
+  monitor.request_stop();
+  monitor.join();
   server.Stop();
 }
 
@@ -1306,6 +1391,8 @@ TEST(RouterFleetE2E, DrainingReshardMigratesEverySessionWithZeroFaults) {
   EXPECT_EQ(statuses[victim].sessions_active, 0u);
   EXPECT_EQ(statuses[victim].sessions_migrated, moving);
   EXPECT_EQ(fleet.router->StatsSnapshot().sessions_migrated, moving);
+  // The drained shard freed every session it handed off.
+  EXPECT_EQ(LiveSessionsAfterSettling(*fleet.managers[victim]), 0u);
   for (std::uint64_t sid = 1; sid <= kSessions; ++sid) {
     EXPECT_FALSE(client.session(sid).error.has_value())
         << "session " << sid << " faulted during drain: "
@@ -1342,6 +1429,7 @@ TEST(RouterFleetE2E, DrainingReshardMigratesEverySessionWithZeroFaults) {
         << "session " << sid << " diverged across migration";
   }
   EXPECT_EQ(fleet.router->StatsSnapshot().sessions_faulted, 0u);
+  EXPECT_EQ(LiveSessionsAfterSettling(*fleet.managers[1 - victim]), 0u);
 }
 
 TEST(RouterFleetE2E, SaturatedShardShedsTypedOverloadThenRecovers) {

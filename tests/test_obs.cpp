@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include "audio/waveform.h"
+#include "channel/modulation.h"
+#include "dsp/resample.h"
 #include "net/fleet.h"
 #include "obs/http.h"
 #include "obs/log.h"
@@ -183,6 +186,41 @@ TEST(Trace, ConcurrentRecordingIsRaceFree) {
             static_cast<std::uint64_t>(kThreads * kSpansPerThread * 2));
   EXPECT_EQ(rec.events_dropped(), 0u);
   EXPECT_TRUE(JsonWellFormed(rec.ChromeTraceJson()));
+}
+
+TEST(Trace, UntracedThreadHoldsNoEventStorage) {
+  TraceReset reset;
+  TraceRecorder& rec = TraceRecorder::Global();
+  const std::size_t before = rec.event_storage_bytes();
+
+  // A thread named while tracing is off registers a ring with no event
+  // storage. It then records without pause while the main thread turns
+  // tracing on under it: records that race Enable are dropped or land
+  // in the sized ring, never in an empty one.
+  std::atomic<bool> named{false};
+  std::atomic<bool> stop{false};
+  std::thread worker([&] {
+    TraceRecorder::SetThreadName("late-traced");
+    named.store(true);
+    while (!stop.load()) {
+      rec.RecordSpan("late.span", "nec", obs::TraceNowNs(), 1);
+    }
+  });
+  while (!named.load()) std::this_thread::yield();
+  EXPECT_EQ(rec.event_storage_bytes(), before);
+  EXPECT_EQ(rec.events_recorded(), 0u);
+
+  rec.Enable(/*ring_capacity=*/64);
+  while (rec.events_recorded() == 0) std::this_thread::yield();
+  stop.store(true);
+  worker.join();
+
+  EXPECT_GT(rec.events_recorded(), 0u);
+  EXPECT_LE(rec.events_recorded(), 64u);
+  const std::string json = rec.ChromeTraceJson();
+  EXPECT_TRUE(JsonWellFormed(json));
+  EXPECT_NE(json.find("\"late-traced\""), std::string::npos);
+  EXPECT_NE(json.find("\"late.span\""), std::string::npos);
 }
 
 // ----------------------------------------------------------------- log
@@ -647,6 +685,34 @@ TEST(StatsExport, MergeHistogramDataRejectsOffGridBounds) {
                                         &acc, &error),
             runtime::HistogramMergeStatus::kOk);
   EXPECT_EQ(acc.count, count_before + 1);
+}
+
+TEST(StatsExport, SharedMemoryGaugesReadTheSharedTables) {
+  TraceReset reset;
+  TraceRecorder::Global().Enable(/*ring_capacity=*/64);
+  TraceRecorder::SetThreadName("memory-gauges");
+  audio::Waveform out;
+  dsp::ResamplerPlan plan;
+  channel::ModulateAmInto(
+      audio::Waveform(16000, std::vector<float>(1600, 0.25f)), {}, plan, out);
+
+  const auto families = runtime::SharedMemoryFamilies();
+  ASSERT_EQ(families.size(), 2u);
+  EXPECT_EQ(families[0].name, "nec_carrier_table_bytes");
+  EXPECT_EQ(families[0].type, obs::MetricType::kGauge);
+  EXPECT_EQ(families[0].metrics[0].value,
+            static_cast<double>(channel::CarrierCacheBytes()));
+  EXPECT_GE(families[0].metrics[0].value, 1600.0 * 12.0 * sizeof(double));
+  EXPECT_EQ(families[1].name, "nec_trace_ring_bytes");
+  EXPECT_EQ(families[1].metrics[0].value,
+            static_cast<double>(TraceRecorder::Global().event_storage_bytes()));
+  EXPECT_GT(families[1].metrics[0].value, 0.0);
+
+  std::vector<obs::MetricFamily> parsed;
+  std::string error;
+  EXPECT_TRUE(obs::ParsePrometheusText(obs::RenderPrometheusText(families),
+                                       &parsed, &error))
+      << error;
 }
 
 TEST(StatsExport, HopLatencyFamilyOmitsZeroHops) {

@@ -8,14 +8,17 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
 #include "core/streaming.h"
 #include "runtime/batcher.h"
+#include "runtime/fault.h"
 #include "runtime/session_manager.h"
 #include "runtime/stats.h"
+#include "runtime/stats_export.h"
 #include "runtime/thread_pool.h"
 #include "runtime/work_queue.h"
 #include "synth/dataset.h"
@@ -336,6 +339,121 @@ TEST_F(SessionManagerTest, SharedWeightsAreActuallyShared) {
   // must alias the manager's selector, not clone the weights.
   EXPECT_GE(selector_.use_count(), 2);
   EXPECT_EQ(manager.num_sessions(), 2u);
+}
+
+TEST_F(SessionManagerTest, ReleasedSessionsAreFreedAndTombstoned) {
+  // 200 open/close cycles on one manager leave no live session behind;
+  // every 25th session streams a chunk and a flush tail before closing.
+  // The batched manager runs the same cycle with its lanes in play.
+  const auto spk = synth::SpeakerProfile::FromSeed(21);
+  const auto refs = builder_.MakeReferenceAudios(spk, 3, 22);
+  const audio::Waveform stream = builder_.MakeUtterance(spk, 23).wave;
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
+    SessionManager manager(selector_, encoder_, {},
+                           {.workers = 2, .max_batch = max_batch});
+    const std::size_t cycles = max_batch == 1 ? 200 : 8;
+    SessionManager::SessionId last = 0;
+    for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
+      const auto id = manager.CreateSession(refs);
+      if (cycle > 0) {
+        EXPECT_EQ(id, last + 1);  // ids are never reused
+      }
+      last = id;
+      EXPECT_EQ(manager.num_sessions(), 1u);
+      if (cycle % 25 == 0 || max_batch > 1) {
+        ASSERT_TRUE(manager.Submit(id, stream.samples()).ok());
+        manager.Drain();
+        const auto tail = manager.Flush(id);
+        EXPECT_TRUE(tail.has_value());
+        EXPECT_GT(manager.TakeOutput(id).size(), 0u);
+      }
+      ASSERT_TRUE(manager.SessionQuiescent(id));
+      ASSERT_TRUE(manager.ReleaseSession(id));
+      EXPECT_EQ(manager.num_sessions(), 0u);
+      EXPECT_TRUE(manager.SessionStatuses().empty());
+    }
+    EXPECT_EQ(SessionsJson(manager), "{\"sessions\":[]}");
+    // A released id is a typed error on every call, never freed memory.
+    EXPECT_THROW(manager.Submit(last, stream.samples()), nec::CheckError);
+    EXPECT_THROW(manager.SessionStatus(last), nec::CheckError);
+    EXPECT_THROW(manager.TakeOutput(last), nec::CheckError);
+    EXPECT_THROW(static_cast<void>(manager.ReleaseSession(last)),
+                 nec::CheckError);
+
+    const auto live = manager.CreateSession(refs);
+    const auto statuses = manager.SessionStatuses();
+    ASSERT_EQ(statuses.size(), 1u);
+    EXPECT_EQ(statuses[0].first, live);
+    EXPECT_NE(SessionsJson(manager).find("\"id\":" + std::to_string(live)),
+              std::string::npos);
+  }
+}
+
+TEST_F(SessionManagerTest, ReleaseDiscardsInputNotYetProcessed) {
+  // A bounced dispatch leaves the samples buffered with no strand. The
+  // release frees the session without computing them: they count as
+  // dropped, and no chunk is produced for a client that is gone.
+  SessionManager manager(selector_, encoder_, {},
+                         {.workers = 1, .kind = core::SelectorKind::kLasMask});
+  const auto spk = synth::SpeakerProfile::FromSeed(24);
+  const auto id =
+      manager.CreateSession(builder_.MakeReferenceAudios(spk, 3, 25));
+  const audio::Waveform stream = builder_.MakeUtterance(spk, 26).wave;
+  FaultInjector::Global().Arm(
+      "pool.submit",
+      {.kind = FaultInjector::Kind::kSaturate, .key = id, .limit = 1});
+  const SubmitResult r = manager.Submit(id, stream.samples());
+  FaultInjector::Global().DisarmAll();
+  ASSERT_FALSE(r.ok());
+  EXPECT_FALSE(manager.SessionQuiescent(id));
+  ASSERT_TRUE(manager.ReleaseSession(id));
+  manager.Drain();
+  const RuntimeStatsSnapshot stats = manager.Stats();
+  EXPECT_EQ(stats.samples_dropped, stream.size());
+  EXPECT_EQ(stats.chunks_processed, 0u);
+  EXPECT_EQ(manager.num_sessions(), 0u);
+}
+
+TEST_F(SessionManagerTest, SessionsJsonIsSafeWhileSessionsAreReleased) {
+  // A monitoring thread renders /sessions while the owning thread opens,
+  // streams and releases sessions without draining first, so releases
+  // meet strands and batches still in flight. Every render must see only
+  // live sessions and never read a freed one (ASan and TSan run this).
+  const auto spk = synth::SpeakerProfile::FromSeed(27);
+  const auto refs = builder_.MakeReferenceAudios(spk, 3, 28);
+  const audio::Waveform stream = builder_.MakeUtterance(spk, 29).wave;
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
+    SessionManager manager(selector_, encoder_, {},
+                           {.workers = 2, .max_batch = max_batch});
+    std::atomic<std::size_t> renders{0};
+    // Joined on scope exit, before the manager it reads.
+    std::jthread monitor([&](std::stop_token stop) {
+      while (!stop.stop_requested()) {
+        const std::string json = SessionsJson(manager);
+        EXPECT_EQ(json.rfind("{\"sessions\":[", 0), 0u);
+        renders.fetch_add(1);
+      }
+    });
+    std::vector<SessionManager::SessionId> open;
+    for (std::size_t cycle = 0; cycle < 12; ++cycle) {
+      const auto id = manager.CreateSession(refs);
+      ASSERT_TRUE(manager.Submit(id, stream.samples()).ok());
+      open.push_back(id);
+      // Release the session before last while this one streams.
+      if (open.size() == 2) {
+        while (!manager.ReleaseSession(open.front())) {
+          std::this_thread::yield();
+        }
+        open.erase(open.begin());
+      }
+    }
+    while (!manager.ReleaseSession(open.front())) std::this_thread::yield();
+    while (renders.load() == 0) std::this_thread::yield();
+    monitor.request_stop();
+    monitor.join();
+    EXPECT_EQ(manager.num_sessions(), 0u);
+    EXPECT_EQ(SessionsJson(manager), "{\"sessions\":[]}");
+  }
 }
 
 TEST_F(SessionManagerTest, RejectBackpressureLeavesSamplesBuffered) {

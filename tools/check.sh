@@ -45,6 +45,15 @@
 #                                    # one cross-process flow, and
 #                                    # validate the obs_fleet_overhead
 #                                    # bench section
+#   CHECK_SERVEBENCH=1 tools/check.sh  # also run the serving benchmark's
+#                                    # own check (`servebench/run.py
+#                                    # --selfcheck`: every workload briefly,
+#                                    # each served chunk checked bit-exact
+#                                    # against a single-threaded reference
+#                                    # and as AM ultrasound) and fail on a
+#                                    # non-zero exit; it builds into
+#                                    # .bench_build/ and edits nothing
+#                                    # under servebench/
 #   CHECK_JOBS=8 tools/check.sh      # override build/test parallelism
 #
 # Both builds configure with NEC_NATIVE_ARCH=OFF so the script behaves the
@@ -59,6 +68,7 @@ OBS="${CHECK_OBS:-0}"
 NET="${CHECK_NET:-0}"
 ALLOC="${CHECK_ALLOC:-0}"
 FLEET_OBS="${CHECK_FLEET_OBS:-0}"
+SERVEBENCH="${CHECK_SERVEBENCH:-0}"
 STEPS=4
 [[ "${BENCH_SMOKE}" == "1" ]] && STEPS=$((STEPS + 1))
 [[ "${FAULTS}" == "1" ]] && STEPS=$((STEPS + 1))
@@ -66,6 +76,7 @@ STEPS=4
 [[ "${NET}" == "1" ]] && STEPS=$((STEPS + 1))
 [[ "${ALLOC}" == "1" ]] && STEPS=$((STEPS + 1))
 [[ "${FLEET_OBS}" == "1" ]] && STEPS=$((STEPS + 1))
+[[ "${SERVEBENCH}" == "1" ]] && STEPS=$((STEPS + 1))
 STEP=0
 step() { STEP=$((STEP + 1)); echo "== [${STEP}/${STEPS}] $1 =="; }
 
@@ -728,6 +739,14 @@ EOF
   }
   fleet_obs_validate "${FO_JSON}" smoke
   fleet_obs_validate BENCH_hotpath.json committed
+fi
+
+if [[ "${SERVEBENCH}" == "1" ]]; then
+  step "servebench selfcheck"
+  # The benchmark's own test: short runs of every workload with all of its
+  # correctness checks on. A failed check exits non-zero, and set -e stops
+  # the script here.
+  python3 servebench/run.py --selfcheck
 fi
 
 echo "check.sh: all green"
