@@ -1,24 +1,17 @@
-// Runtime throughput + serving latency: chunks/sec vs. worker count, and
-// continuous-batching speedup with HONEST deadline accounting.
+// Runtime throughput: chunks/sec vs. worker count with HONEST deadline
+// accounting, plus the steady-state allocation audit.
 //
 // The single-threaded deployment loop (Table II) bounds ONE stream; this
-// harness measures how far the nec::runtime layer scales that with a pool
-// and the continuous batcher. Two arrival modes, because throughput and
-// latency need different harnesses:
+// harness measures how far the nec::runtime session strands scale that
+// over a pool. The workload is replayed offline — submitted as fast as the
+// queues accept it — which is right for chunks/sec and speedup (the
+// machine is saturated) and WRONG for latency: end-to-end latency then
+// measures the replay backlog, which no deployment ever sees. Rows still
+// report e2e numbers, honestly labeled; paced serving latency is the
+// serving benchmark's job (servebench/).
 //
-//   * offline replay — the whole workload is submitted as fast as the
-//     queues accept it. Right for chunks/sec and speedup (the machine is
-//     saturated), WRONG for latency: end-to-end latency then measures the
-//     replay backlog, which no deployment ever sees. Offline rows still
-//     report e2e numbers, honestly labeled.
-//   * paced (real-time) arrival — pieces are delivered on the audio
-//     clock, sessions phase-staggered by chunk_s/sessions the way N
-//     independent microphones would be. This is the only mode whose e2e
-//     quantiles mean "service latency", so `deadline_met` (the §IV-C2
-//     300 ms overshadowing deadline) is judged ONLY against paced e2e p99.
-//
-// Every row also carries a bit-exactness audit: batched / parallel output
-// must equal the sequential StreamingProcessor result sample-for-sample.
+// Every row also carries a bit-exactness audit: parallel output must
+// equal the sequential StreamingProcessor result sample-for-sample.
 //
 // The selector is a fixed-seed untrained Fast() model: weight values do
 // not change the arithmetic cost, and keeping the bench hermetic avoids a
@@ -55,23 +48,10 @@ struct BenchParams {
   std::size_t sessions = 8;
   double stream_seconds = 6.0;
   std::vector<std::size_t> worker_sweep = {1, 2, 4, 8};
-  /// Continuous-batching sweep: concurrent-session counts compared
-  /// batched-vs-unbatched (ISSUE 3 records 1/4/8).
-  std::vector<std::size_t> batched_session_sweep = {1, 4, 8};
-  /// One InferBatch serializes its whole batch before the last chunk in it
-  /// completes, so on a core-bound box max_batch bounds the per-chunk p99
-  /// at roughly max_batch * chunk-compute. 3 keeps a full batch's compute
-  /// inside the 300 ms deadline with ~25% margin at ~70 ms/chunk while
-  /// still amortizing dispatch across sessions.
-  std::size_t batched_max_batch = 3;
 
   static BenchParams Get() {
     if (!BenchSmokeMode()) return {};
-    return {.sessions = 2,
-            .stream_seconds = 2.0,
-            .worker_sweep = {1, 2},
-            .batched_session_sweep = {1, 2},
-            .batched_max_batch = 2};
+    return {.sessions = 2, .stream_seconds = 2.0, .worker_sweep = {1, 2}};
   }
 };
 
@@ -110,27 +90,16 @@ struct RunResult {
   std::vector<audio::Waveform> outputs;
 };
 
-enum class Arrival {
-  kOffline,  ///< submit as fast as the queues accept (throughput mode)
-  kPaced,    ///< audio-clock arrival, phase-staggered (latency mode)
-};
-
-/// Runs the first `sessions` workload streams through a SessionManager.
-/// `max_batch` > 1 turns on the continuous batcher (with `workers`
-/// dispatch threads). kPaced delivers each 4096-sample piece on the audio
-/// clock, with session i's schedule shifted by i * chunk_s / sessions:
-/// independent microphones do not align their chunk boundaries, and a
-/// lockstep feed would manufacture a synchronized burst every second that
-/// no deployment produces.
+/// Replays the first `sessions` workload streams through a SessionManager
+/// as fast as the queues accept them, in 4096-sample pieces interleaved
+/// across sessions.
 RunResult RunWith(const Workload& w, std::size_t workers,
-                  std::size_t sessions, std::size_t max_batch,
-                  Arrival arrival) {
+                  std::size_t sessions) {
   runtime::SessionManager manager(w.selector, w.encoder, {},
                                   {.workers = workers,
                                    .queue_capacity = 1024,
                                    .chunk_s = kChunkSeconds,
                                    .kind = core::SelectorKind::kNeural,
-                                   .max_batch = max_batch,
                                    .deadline_ms = kDeadlineMs});
   std::vector<runtime::SessionManager::SessionId> ids;
   for (std::size_t i = 0; i < sessions; ++i) {
@@ -138,44 +107,17 @@ RunResult RunWith(const Workload& w, std::size_t workers,
   }
 
   const std::size_t piece = 4096;
-  const double piece_s =
-      static_cast<double>(piece) /
-      static_cast<double>(w.streams[0].sample_rate());
-  const double stagger_s = kChunkSeconds / static_cast<double>(sessions);
-
-  // One (due time, session, offset) event per piece, sorted by due time.
-  // Offline replay keeps the same interleaving, just never sleeps.
-  struct Event {
-    double due_s;
-    std::size_t session;
-    std::size_t pos;
-  };
-  std::vector<Event> events;
+  std::size_t longest = 0;
   for (std::size_t i = 0; i < sessions; ++i) {
-    for (std::size_t pos = 0; pos < w.streams[i].size(); pos += piece) {
-      events.push_back(
-          {static_cast<double>(i) * stagger_s +
-               static_cast<double>(pos / piece) * piece_s,
-           i, pos});
-    }
+    longest = std::max(longest, w.streams[i].size());
   }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Event& a, const Event& b) {
-                     return a.due_s < b.due_s;
-                   });
-
   const auto t0 = std::chrono::steady_clock::now();
-  for (const Event& e : events) {
-    if (arrival == Arrival::kPaced) {
-      // Absolute schedule (t0 + due), not relative sleeps: pacing error
-      // must not accumulate over a long stream.
-      std::this_thread::sleep_until(
-          t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(e.due_s)));
+  for (std::size_t pos = 0; pos < longest; pos += piece) {
+    for (std::size_t i = 0; i < sessions; ++i) {
+      if (pos >= w.streams[i].size()) continue;
+      const std::size_t n = std::min(piece, w.streams[i].size() - pos);
+      manager.Submit(ids[i], w.streams[i].samples().subspan(pos, n));
     }
-    const std::size_t n = std::min(piece, w.streams[e.session].size() - e.pos);
-    manager.Submit(ids[e.session],
-                   w.streams[e.session].samples().subspan(e.pos, n));
   }
   manager.Drain();
 
@@ -415,8 +357,7 @@ int main() {
   double speedup_at_4 = 0.0;
   bool all_exact = true;
   for (const std::size_t workers : params.worker_sweep) {
-    const RunResult r = RunWith(w, workers, params.sessions,
-                                /*max_batch=*/1, Arrival::kOffline);
+    const RunResult r = RunWith(w, workers, params.sessions);
     if (workers == 1) base = r.chunks_per_sec;
     const double speedup = base > 0.0 ? r.chunks_per_sec / base : 0.0;
     if (workers == 4) speedup_at_4 = speedup;
@@ -439,9 +380,7 @@ int main() {
         // Honest accounting: the deadline verdict is end-to-end (queue
         // wait + compute), never compute-only. Under offline replay the
         // whole stream is enqueued up front, so e2e measures backlog and
-        // this is false on any hardware slower than the replay — the
-        // paced rows in the `batched` section are where the deadline can
-        // genuinely be met or missed.
+        // this is false on any hardware slower than the replay.
         .Field("deadline_met", r.stats.e2e_latency.p99_ms < kDeadlineMs)
         .EndObject();
   }
@@ -460,131 +399,9 @@ int main() {
   WriteJsonSection(path, "runtime_throughput", json.Finish());
   std::printf("wrote section runtime_throughput -> %s\n", path.c_str());
 
-  // ---- Continuous batching sweep (ISSUE 3 / ISSUE 7): batched vs
-  // unbatched at 1/4/8 concurrent sessions. Each row is measured twice:
-  //   * offline replay -> chunks/sec + speedup (saturation throughput),
-  //   * paced arrival  -> e2e latency quantiles + deadline_met (serving).
-  // On a machine with >= 4 cores an extra row runs the same comparison
-  // with 4 dispatch workers and max_batch 4 — the continuous batcher's
-  // multi-core configuration (EDF admission + work stealing across
-  // dispatchers). Rows record `workers` so no reader mistakes a 1-core
-  // number for a multi-core one.
-  struct BatchedRow {
-    std::size_t sessions;
-    std::size_t workers;
-    std::size_t max_batch;
-  };
-  std::vector<BatchedRow> brows;
-  for (const std::size_t n : params.batched_session_sweep) {
-    brows.push_back({n, 1, params.batched_max_batch});
-  }
-  const bool multicore = hw >= 4 && !BenchSmokeMode();
-  if (multicore) {
-    brows.push_back({params.sessions, 4, 4});
-  }
-
-  std::printf("\ncontinuous batching (offline -> speedup, paced -> e2e):\n");
-  std::printf("%5s %4s %3s %11s %11s %9s %6s %9s %9s %5s %6s\n", "sess",
-              "wrk", "mb", "unbat ch/s", "bat ch/s", "speedup", "avgB",
-              "e2e p50", "e2e p99", "ddl", "exact");
-  PrintRule();
-
-  JsonWriter bjson;
-  bjson.Field("max_batch", static_cast<double>(params.batched_max_batch))
-      .Field("stream_seconds", params.stream_seconds)
-      .Field("deadline_ms", kDeadlineMs)
-      .Field("hardware_concurrency", static_cast<double>(hw))
-      .Field("throughput_arrival", "offline-replay")
-      .Field("latency_arrival", "paced-realtime")
-      // True when this machine cannot produce the >= 4-core row the 1.5x
-      // target is defined over; tools/check.sh downgrades the target to a
-      // pending marker instead of judging multi-core scheduling on a box
-      // that cannot express it.
-      .Field("multicore_pending", !multicore)
-      .Field("smoke", BenchSmokeMode());
-  bjson.BeginArray("rows");
-  bool batched_exact = true;
-  bool batched_deadline_ok = true;
-  for (const BatchedRow& row : brows) {
-    // Throughput arms: offline replay, machine saturated.
-    const RunResult off_un =
-        RunWith(w, row.workers, row.sessions, /*max_batch=*/1,
-                Arrival::kOffline);
-    const RunResult off_ba =
-        RunWith(w, row.workers, row.sessions, row.max_batch,
-                Arrival::kOffline);
-    // Latency arms: paced arrival, e2e == service latency.
-    const RunResult pac_un =
-        RunWith(w, row.workers, row.sessions, /*max_batch=*/1,
-                Arrival::kPaced);
-    const RunResult pac_ba =
-        RunWith(w, row.workers, row.sessions, row.max_batch,
-                Arrival::kPaced);
-    const std::vector<nec::audio::Waveform> expect(
-        sequential.outputs.begin(),
-        sequential.outputs.begin() +
-            static_cast<std::ptrdiff_t>(row.sessions));
-    const bool exact = BitExact(off_ba.outputs, expect) &&
-                       BitExact(pac_ba.outputs, expect);
-    batched_exact &= exact;
-    const bool deadline_met = pac_ba.stats.e2e_latency.p99_ms < kDeadlineMs;
-    batched_deadline_ok &= deadline_met;
-    const double speedup = off_un.chunks_per_sec > 0.0
-                               ? off_ba.chunks_per_sec / off_un.chunks_per_sec
-                               : 0.0;
-    std::printf(
-        "%5zu %4zu %3zu %11.2f %11.2f %8.2fx %6.2f %9.2f %9.2f %5s %6s\n",
-        row.sessions, row.workers, row.max_batch, off_un.chunks_per_sec,
-        off_ba.chunks_per_sec, speedup, off_ba.stats.avg_batch_size,
-        pac_ba.stats.e2e_latency.p50_ms, pac_ba.stats.e2e_latency.p99_ms,
-        deadline_met ? "met" : "MISS", exact ? "yes" : "NO");
-    bjson.BeginObject()
-        .Field("sessions", static_cast<double>(row.sessions))
-        .Field("workers", static_cast<double>(row.workers))
-        .Field("max_batch", static_cast<double>(row.max_batch))
-        .Field("unbatched_chunks_per_sec", off_un.chunks_per_sec)
-        .Field("unbatched_selector_ms_per_chunk",
-               off_un.selector_ms_per_chunk)
-        .Field("batched_chunks_per_sec", off_ba.chunks_per_sec)
-        .Field("batched_selector_ms_per_chunk", off_ba.selector_ms_per_chunk)
-        .Field("speedup_batched_vs_unbatched", speedup)
-        .Field("avg_batch_size", off_ba.stats.avg_batch_size)
-        .Field("max_batch_size",
-               static_cast<double>(off_ba.stats.max_batch_size))
-        // Paced-arm numbers: what a live deployment would see.
-        .Field("paced_avg_batch_size", pac_ba.stats.avg_batch_size)
-        .Field("queue_wait_p50_ms", pac_ba.stats.queue_wait.p50_ms)
-        .Field("queue_wait_p99_ms", pac_ba.stats.queue_wait.p99_ms)
-        .Field("p50_ms", pac_ba.stats.chunk_latency.p50_ms)
-        .Field("p99_ms", pac_ba.stats.chunk_latency.p99_ms)
-        .Field("e2e_p50_ms", pac_ba.stats.e2e_latency.p50_ms)
-        .Field("e2e_p99_ms", pac_ba.stats.e2e_latency.p99_ms)
-        .Field("unbatched_e2e_p99_ms", pac_un.stats.e2e_latency.p99_ms)
-        .Field("bitexact", exact)
-        .Field("deadline_met", deadline_met)
-        .EndObject();
-  }
-  bjson.EndArray();
-  bjson.Field("all_bitexact", batched_exact)
-      .Field("deadline_ok", batched_deadline_ok);
-
-  PrintRule();
-  std::printf("batched outputs vs sequential StreamingProcessor: %s\n",
-              batched_exact ? "bit-identical" : "MISMATCH");
-  std::printf("300 ms deadline, paced e2e p99 (all rows): %s\n",
-              batched_deadline_ok ? "met" : "missed");
-  if (!multicore && !BenchSmokeMode()) {
-    std::printf("NOTE: hardware_concurrency=%u < 4 — the >= 4-core "
-                "batched row (workers=4, max_batch=4) is pending a "
-                "multi-core machine.\n",
-                hw);
-  }
-  WriteJsonSection(path, "batched", bjson.Finish());
-  std::printf("wrote section batched -> %s\n", path.c_str());
-
   if (!alloc_ok) {
     std::printf("FAIL: steady-state chunk path allocated (see alloc "
                 "section)\n");
   }
-  return all_exact && batched_exact && alloc_ok ? 0 : 1;
+  return all_exact && alloc_ok ? 0 : 1;
 }

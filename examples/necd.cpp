@@ -9,7 +9,7 @@
 //
 //   necd [--sessions N] [--workers K] [--seconds S] [--chunk-s C]
 //        [--policy block|reject|drop] [--queue Q] [--las]
-//        [--max-batch B] [--deadline-ms D] [--no-pace]
+//        [--deadline-ms D] [--no-pace]
 //        [--on-fault fault|degrade] [--degrade] [--reject-bad-input]
 //        [--metrics-port P] [--trace-out FILE]
 //        [--log-level trace|debug|info|warn|error|off] [--log-json]
@@ -32,7 +32,7 @@
 // Networked serving (DESIGN.md §5h): --listen turns necd into a shard —
 // a TCP server speaking the NEC wire protocol (port 0 = ephemeral; the
 // bound port is printed on stdout). Clients open seed-enrolled sessions
-// and stream chunks; all runtime machinery (micro-batching, degradation
+// and stream chunks; all runtime machinery (session strands, degradation
 // ladder, fault containment) applies unchanged. --route turns necd into
 // a router instead: SHARDS is a comma-separated list of
 // host:port:health_port triples; new wire sessions are consistent-hashed
@@ -54,15 +54,10 @@
 // histograms bucket-merged, per-shard breakdown rows (`necctl top`
 // refreshes over it). `necctl stats --url http://127.0.0.1:P` scrapes
 // and pretty-prints /metrics. --trace-out enables pipeline tracing
-// (spans for every stage and runtime hop, flow arrows linking batched
+// (spans for every stage and runtime hop, flow arrows linking wire-carried
 // chunks) and writes Chrome trace JSON — loadable in Perfetto — after
 // the drain; --trace arms the recorder without a dump file so /trace
 // serves a live window (`necctl trace` merges those across the fleet).
-//
-// --max-batch > 1 routes ready chunks through the continuous batcher
-// (batched selector forwards across sessions, admitted earliest-deadline-
-// first as dispatch slots free; see src/runtime/batcher.h) — per-session
-// output stays bit-identical.
 //
 // Fault tolerance (DESIGN.md §5f): --on-fault picks what a session does
 // when a chunk keeps failing — fault (default: the session parks in
@@ -120,7 +115,6 @@ struct Args {
   nec::runtime::OverflowPolicy policy =
       nec::runtime::OverflowPolicy::kBlock;
   nec::core::SelectorKind kind = nec::core::SelectorKind::kNeural;
-  std::size_t max_batch = 1;
   double deadline_ms = 300.0;
   bool pace = true;  ///< feed at the audio rate (false = offline replay)
   nec::runtime::FaultPolicy on_fault = nec::runtime::FaultPolicy::kFault;
@@ -186,8 +180,6 @@ Args Parse(int argc, char** argv) {
       }
     } else if (flag == "--las") {
       args.kind = nec::core::SelectorKind::kLasMask;
-    } else if (flag == "--max-batch") {
-      args.max_batch = std::strtoul(next(), nullptr, 10);
     } else if (flag == "--no-pace") {
       args.pace = false;
     } else if (flag == "--deadline-ms") {
@@ -240,8 +232,8 @@ Args Parse(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: necd [--sessions N] [--workers K] [--seconds S]\n"
                    "            [--chunk-s C] [--policy block|reject|drop]\n"
-                   "            [--queue Q] [--las] [--max-batch B]\n"
-                   "            [--deadline-ms D] [--no-pace]\n"
+                   "            [--queue Q] [--las] [--deadline-ms D]\n"
+                   "            [--no-pace]\n"
                    "            [--on-fault fault|degrade] [--degrade]\n"
                    "            [--reject-bad-input] [--metrics-port P]\n"
                    "            [--trace-out FILE] [--trace] [--log-json]\n"
@@ -256,9 +248,8 @@ Args Parse(int argc, char** argv) {
   }
   // In router mode --listen (if given) is the router's own bind port;
   // otherwise an ephemeral one is picked and printed.
-  if (args.max_batch < 1 || args.deadline_ms <= 0.0) {
-    std::fprintf(stderr,
-                 "necd: --max-batch must be >= 1 and --deadline-ms > 0\n");
+  if (args.deadline_ms <= 0.0) {
+    std::fprintf(stderr, "necd: --deadline-ms must be > 0\n");
     std::exit(2);
   }
   if (args.seconds <= 0.0 || args.chunk_s <= 0.0) {
@@ -296,7 +287,6 @@ nec::runtime::SessionManager::Options ManagerOptions(const Args& args) {
           .policy = args.policy,
           .chunk_s = args.chunk_s,
           .kind = args.kind,
-          .max_batch = args.max_batch,
           .deadline_ms = args.deadline_ms,
           .fault = {.on_error = args.on_fault,
                     .bad_input = args.reject_bad_input
@@ -707,12 +697,11 @@ int main(int argc, char** argv) {
 
   NEC_LOG_INFO("necd",
                "%zu sessions, %zu workers, %.1f s streams, %.1f s chunks, "
-               "policy=%s, selector=%s, max-batch=%zu",
+               "policy=%s, selector=%s",
                args.sessions, args.workers, args.seconds, args.chunk_s,
                PolicyName(args.policy),
                args.kind == core::SelectorKind::kNeural ? "neural"
-                                                        : "las-mask",
-               args.max_batch);
+                                                        : "las-mask");
 
   core::StandardModel model = PickModel(args);
   runtime::SessionManager manager(model.selector, model.encoder, {},
@@ -926,20 +915,6 @@ int main(int argc, char** argv) {
               stats.e2e_latency.p99_ms);
   std::printf("%-28s %12.2f\n", "e2e latency max (ms)",
               stats.e2e_latency.max_ms);
-  if (manager.batching_enabled()) {
-    std::printf("%-28s %12llu\n", "batches dispatched",
-                static_cast<unsigned long long>(stats.batches_dispatched));
-    std::printf("%-28s %12llu\n", "batched chunks",
-                static_cast<unsigned long long>(stats.batched_chunks));
-    std::printf("%-28s %12.2f\n", "avg batch size",
-                stats.avg_batch_size);
-    std::printf("%-28s %12llu\n", "max batch size",
-                static_cast<unsigned long long>(stats.max_batch_size));
-    std::printf("%-28s %12.2f\n", "queue wait p50 (ms)",
-                stats.queue_wait.p50_ms);
-    std::printf("%-28s %12.2f\n", "queue wait p99 (ms)",
-                stats.queue_wait.p99_ms);
-  }
   std::printf("%-28s %12zu\n", "queue peak depth",
               stats.queue_peak_depth);
   std::printf("%-28s %12llu\n", "session faults",
@@ -959,8 +934,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.degrade_steps_up));
   std::printf("%-28s %12llu\n", "chunk retries",
               static_cast<unsigned long long>(stats.chunk_retries));
-  std::printf("%-28s %12llu\n", "batch splits",
-              static_cast<unsigned long long>(stats.batch_splits));
   std::printf("%-28s %12llu\n", "samples sanitized",
               static_cast<unsigned long long>(stats.samples_sanitized));
   std::printf("%-28s %12llu\n", "bad-input rejections",

@@ -15,8 +15,7 @@
 //  - An ArenaScope rewinds its arena on destruction (exception-safe), so
 //    arena-backed values must NOT escape the scope that allocated them:
 //    copy results into caller-owned storage before the scope ends.
-//  - Arenas are single-threaded: one per session strand (or one
-//    thread_local per dispatcher for batch assembly), never shared.
+//  - Arenas are single-threaded: one per session strand, never shared.
 //
 // This header is intentionally header-only: nec::nn's Tensor consults
 // ArenaScope::Current() from its constructors, and nec_nn must not link
@@ -195,8 +194,7 @@ class ArenaScope {
 // ------------------------------------------------------------------- Pool
 
 /// Size-classed recycler for float buffers whose lifetime crosses strand
-/// or thread boundaries (chunk waveforms travelling through the batcher,
-/// session output swap space) — storage an Arena cannot serve because no
+/// or thread boundaries — storage an Arena cannot serve because no
 /// single scope outlives it. Buffers are binned by power-of-two capacity;
 /// Acquire prefers a recycled buffer and does NOT zero reused contents
 /// (consumers overwrite fully — test-enforced), Release returns it to the
@@ -332,12 +330,12 @@ class Shape {
 
 // ------------------------------------------------------------- TensorView
 
-/// Non-owning shaped slice over float storage (arena blocks, a batched
-/// tensor's rows, pool buffers). Used by the batch-assembly paths to
-/// gather/scatter per-item data without intermediate copies. The view is
-/// invalidated by whatever invalidates its storage: arena Rewind/Reset
-/// past the allocation, Release of the pooled buffer, or destruction /
-/// reallocation of the viewed tensor (DESIGN.md §5i).
+/// Non-owning shaped slice over float storage (arena blocks, a tensor's
+/// rows, pool buffers), for gathering/scattering per-item data without
+/// intermediate copies. The view is invalidated by whatever invalidates
+/// its storage: arena Rewind/Reset past the allocation, Release of the
+/// pooled buffer, or destruction / reallocation of the viewed tensor
+/// (DESIGN.md §5i).
 class TensorView {
  public:
   TensorView() = default;
@@ -386,8 +384,7 @@ class TensorView {
   }
 
   /// Sub-view fixing the leading index: a (B, ...) view yields the
-  /// rank-(R-1) view of item `i` — the gather/scatter slice for batch
-  /// assembly. Aliasing: shares storage with this view.
+  /// rank-(R-1) view of item `i`. Aliasing: shares storage with this view.
   TensorView Sub(std::size_t i) const {
     NEC_DCHECK_MSG(rank() >= 2, "TensorView::Sub on rank-" << rank());
     NEC_DCHECK_MSG(i < shape_[0], "TensorView::Sub(" << i << ") out of " << shape_[0]);

@@ -126,70 +126,6 @@ audio::Waveform NecPipeline::GenerateModulatedShadow(
                              options_.modulation);
 }
 
-std::vector<audio::Waveform> GenerateShadowBatch(
-    std::span<const ShadowBatchRequest> requests) {
-  const std::size_t B = requests.size();
-  NEC_CHECK_MSG(B >= 1, "GenerateShadowBatch on an empty batch");
-  const NecPipeline* first = requests[0].pipeline;
-  NEC_CHECK(first != nullptr && requests[0].mixed != nullptr);
-  const Selector* shared = &first->selector();
-  const std::size_t chunk_len = requests[0].mixed->size();
-
-  NEC_TRACE_SPAN_ARG("pipeline.generate_shadow_batch", B);
-  std::vector<dsp::StftWorkspace> local_ws;
-  local_ws.reserve(B);  // keep pointers stable for items without a ws
-  std::vector<dsp::Spectrogram> specs;
-  specs.reserve(B);
-  std::vector<const dsp::Spectrogram*> spec_ptrs(B);
-  std::vector<const std::vector<float>*> dvectors(B);
-
-  for (std::size_t b = 0; b < B; ++b) {
-    const ShadowBatchRequest& req = requests[b];
-    NEC_CHECK_MSG(req.pipeline != nullptr && req.mixed != nullptr,
-                  "GenerateShadowBatch: null item " << b);
-    NEC_CHECK_MSG(&req.pipeline->selector() == shared,
-                  "GenerateShadowBatch items must share one selector");
-    NEC_CHECK_MSG(req.pipeline->enrolled(),
-                  "enroll a target before GenerateShadowBatch");
-    NEC_CHECK_MSG(req.mixed->size() == chunk_len,
-                  "GenerateShadowBatch chunks must be same-length");
-    NEC_CHECK_MSG(
-        req.mixed->sample_rate() == first->config().sample_rate,
-        "monitor audio must be at " << first->config().sample_rate
-                                    << " Hz");
-    dsp::StftWorkspace& w =
-        req.ws != nullptr ? *req.ws : local_ws.emplace_back();
-    {
-      NEC_TRACE_SPAN("dsp.stft");
-      specs.push_back(dsp::Stft(*req.mixed, first->config().stft, w));
-    }
-    dvectors[b] = &req.pipeline->dvector();
-  }
-  for (std::size_t b = 0; b < B; ++b) spec_ptrs[b] = &specs[b];
-
-  std::vector<std::vector<float>> shadow_mags;
-  {
-    NEC_TRACE_SPAN_ARG("selector.forward_batch", B);
-    shadow_mags = shared->ComputeShadowBatch(spec_ptrs, dvectors);
-  }
-  for (const auto& mags : shadow_mags) {
-    CheckShadowFinite(mags, "GenerateShadowBatch selector");
-  }
-
-  std::vector<audio::Waveform> shadows;
-  shadows.reserve(B);
-  for (std::size_t b = 0; b < B; ++b) {
-    const ShadowBatchRequest& req = requests[b];
-    dsp::StftWorkspace local;
-    dsp::StftWorkspace& w = req.ws != nullptr ? *req.ws : local;
-    NEC_TRACE_SPAN("dsp.istft");
-    shadows.push_back(dsp::IstftWithPhase(
-        shadow_mags[b], specs[b], first->config().stft,
-        first->config().sample_rate, chunk_len, w));
-  }
-  return shadows;
-}
-
 audio::Waveform NecPipeline::OracleShadow(
     const audio::Waveform& mixed, const audio::Waveform& background) const {
   const dsp::Spectrogram mix_spec = dsp::Stft(mixed, config().stft);

@@ -124,22 +124,4 @@ class NecPipeline {
   std::optional<std::vector<float>> dvector_;
 };
 
-/// One item of a batched shadow-generation call (see GenerateShadowBatch).
-struct ShadowBatchRequest {
-  const NecPipeline* pipeline = nullptr;   ///< enrolled pipeline
-  const audio::Waveform* mixed = nullptr;  ///< same length for every item
-  dsp::StftWorkspace* ws = nullptr;        ///< optional per-item scratch
-};
-
-/// Batched GenerateShadow over the NEURAL selector: per-item STFT, then one
-/// Selector::ComputeShadowBatch across all items, then per-item inverse
-/// STFT. Every pipeline in the batch must share the same selector instance
-/// (shared_selector()) and every mixed chunk the same length / sample rate.
-/// Bit-identical, per item, to
-/// `req.pipeline->GenerateShadow(*req.mixed, SelectorKind::kNeural, req.ws)`
-/// — the property the runtime micro-batcher (runtime/batcher.h) relies on
-/// to coalesce sessions without changing their emitted shadows.
-std::vector<audio::Waveform> GenerateShadowBatch(
-    std::span<const ShadowBatchRequest> requests);
-
 }  // namespace nec::core

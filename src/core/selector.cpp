@@ -143,84 +143,6 @@ nn::Tensor Selector::Infer(const nn::Tensor& mixed_mag,
   return shadow;
 }
 
-std::vector<nn::Tensor> Selector::InferBatch(
-    const std::vector<const nn::Tensor*>& mixed_mags,
-    const std::vector<const std::vector<float>*>& dvectors) const {
-  const std::size_t B = mixed_mags.size();
-  NEC_CHECK_MSG(B >= 1, "InferBatch on an empty batch");
-  NEC_CHECK_MSG(dvectors.size() == B,
-                "InferBatch: " << B << " mags vs " << dvectors.size()
-                               << " d-vectors");
-  const std::size_t F = config_.num_bins();
-  const std::size_t E = config_.embedding_dim;
-  NEC_CHECK_MSG(mixed_mags[0] != nullptr && mixed_mags[0]->rank() == 2 &&
-                    mixed_mags[0]->dim(1) == F,
-                "selector expects (T, F) input with F = " << F);
-  const std::size_t T = mixed_mags[0]->dim(0);
-  for (std::size_t b = 0; b < B; ++b) {
-    NEC_CHECK_MSG(mixed_mags[b] != nullptr && dvectors[b] != nullptr,
-                  "InferBatch: null item " << b);
-    NEC_CHECK_MSG(mixed_mags[b]->rank() == 2 &&
-                      mixed_mags[b]->dim(0) == T &&
-                      mixed_mags[b]->dim(1) == F,
-                  "InferBatch items must share (T, F); item "
-                      << b << " differs");
-    NEC_CHECK_MSG(dvectors[b]->size() == E,
-                  "d-vector dim " << dvectors[b]->size()
-                                  << " != configured " << E);
-  }
-
-  // Mirror of Infer with a leading batch dim. Every per-item arithmetic
-  // step below is the exact code Infer runs — same sqrt compression, same
-  // conv kernel per item (Conv2D::InferBatch loops the per-item GEMM over
-  // shared weights), same row-independent FC GEMM — so each item's shadow
-  // is bit-identical to its solo Infer result (test-enforced).
-  nn::Tensor x({B, 1, T, F});
-  for (std::size_t b = 0; b < B; ++b) {
-    const nn::Tensor& mag = *mixed_mags[b];
-    float* dst = x.data() + b * T * F;
-    for (std::size_t i = 0; i < T * F; ++i) {
-      const float v = mag[i];
-      dst[i] = v > 0.0f ? std::sqrt(v) : 0.0f;
-    }
-  }
-  for (std::size_t i = 0; i < convs_.size(); ++i) {
-    x = conv_relus_[i].InferBatch(convs_[i]->InferBatch(x));
-  }
-
-  // (B, 2, T, F) -> (B, T, 2F + E).
-  NEC_CHECK(x.rank() == 4 && x.dim(1) == 2);
-  nn::Tensor fused({B, T, 2 * F + E});
-  for (std::size_t b = 0; b < B; ++b) {
-    const float* ch0 = x.data() + b * 2 * T * F;
-    const float* ch1 = ch0 + T * F;
-    const std::vector<float>& dvector = *dvectors[b];
-    for (std::size_t t = 0; t < T; ++t) {
-      float* row = fused.data() + (b * T + t) * (2 * F + E);
-      for (std::size_t f = 0; f < F; ++f) row[f] = ch0[t * F + f];
-      for (std::size_t f = 0; f < F; ++f) row[F + f] = ch1[t * F + f];
-      for (std::size_t e = 0; e < E; ++e) row[2 * F + e] = dvector[e];
-    }
-  }
-
-  nn::Tensor h = fc_relu_.InferBatch(fc1_->InferBatch(fused));
-  nn::Tensor logits = fc2_->InferBatch(h);  // (B, T, F)
-
-  nn::Tensor mask = mask_sigmoid_.InferBatch(logits);
-  std::vector<nn::Tensor> shadows;
-  shadows.reserve(B);
-  for (std::size_t b = 0; b < B; ++b) {
-    const nn::Tensor& mag = *mixed_mags[b];
-    const float* m = mask.data() + b * T * F;
-    nn::Tensor shadow({T, F});
-    for (std::size_t i = 0; i < T * F; ++i) {
-      shadow[i] = -m[i] * mag[i];
-    }
-    shadows.push_back(std::move(shadow));
-  }
-  return shadows;
-}
-
 void Selector::Backward(const nn::Tensor& grad_shadow) {
   const std::size_t T = cached_T_;
   const std::size_t F = config_.num_bins();
@@ -292,49 +214,6 @@ std::vector<float> Selector::ComputeShadow(
   return out;
 }
 
-std::vector<std::vector<float>> Selector::ComputeShadowBatch(
-    const std::vector<const dsp::Spectrogram*>& specs,
-    const std::vector<const std::vector<float>*>& dvectors) const {
-  const std::size_t B = specs.size();
-  NEC_CHECK_MSG(B >= 1, "ComputeShadowBatch on an empty batch");
-  NEC_CHECK(dvectors.size() == B);
-  const std::size_t F = config_.num_bins();
-
-  // Per-item gain normalization — identical to ComputeShadow's, applied
-  // before stacking so batching cannot couple items through the gain.
-  std::vector<nn::Tensor> inputs(B);
-  std::vector<float> gains(B);
-  for (std::size_t b = 0; b < B; ++b) {
-    NEC_CHECK_MSG(specs[b] != nullptr, "null spectrogram in batch");
-    const dsp::Spectrogram& spec = *specs[b];
-    NEC_CHECK(spec.num_bins() == F);
-    double acc = 0.0;
-    for (float m : spec.mag()) acc += static_cast<double>(m) * m;
-    const float rms = static_cast<float>(
-        std::sqrt(acc / std::max<std::size_t>(1, spec.mag().size())));
-    gains[b] = rms > 1e-9f ? 1.0f / rms : 1.0f;
-
-    nn::Tensor input({spec.num_frames(), F});
-    for (std::size_t i = 0; i < input.numel(); ++i) {
-      input[i] = spec.mag()[i] * gains[b];
-    }
-    inputs[b] = std::move(input);
-  }
-
-  std::vector<const nn::Tensor*> mag_ptrs(B);
-  for (std::size_t b = 0; b < B; ++b) mag_ptrs[b] = &inputs[b];
-  std::vector<nn::Tensor> shadows = InferBatch(mag_ptrs, dvectors);
-
-  std::vector<std::vector<float>> out(B);
-  for (std::size_t b = 0; b < B; ++b) {
-    out[b].resize(shadows[b].numel());
-    for (std::size_t i = 0; i < out[b].size(); ++i) {
-      out[b][i] = shadows[b][i] / gains[b];
-    }
-  }
-  return out;
-}
-
 std::size_t Selector::LastForwardMacs() const {
   std::size_t macs = 0;
   for (const auto& conv : convs_) macs += conv->LastForwardMacs();
@@ -398,15 +277,10 @@ Selector Selector::Load(const std::string& path) {
 static_assert(
     requires(const Selector& s, const dsp::Spectrogram& spec,
              const nn::Tensor& mag, const std::vector<float>& d,
-             const std::vector<const dsp::Spectrogram*>& specs,
-             const std::vector<const nn::Tensor*>& mags,
-             const std::vector<const std::vector<float>*>& ds,
              std::vector<float>& shadow_out) {
       s.ComputeShadow(spec, d);
       s.ComputeShadowInto(spec, d, shadow_out);
       s.Infer(mag, d);
-      s.InferBatch(mags, ds);
-      s.ComputeShadowBatch(specs, ds);
       s.config();
     },
     "Selector inference entry points must stay const for nec::runtime "

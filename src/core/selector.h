@@ -59,17 +59,6 @@ class Selector {
   nn::Tensor Infer(const nn::Tensor& mixed_mag,
                    const std::vector<float>& dvector) const;
 
-  /// Batched Infer: stacks B same-shaped (T, F) magnitude tensors with
-  /// their d-vectors into one (B, ...) forward pass through the layers'
-  /// InferBatch path and splits the B shadow tensors back out. Guaranteed
-  /// bit-identical, per item, to calling Infer on each (mag, dvector) pair
-  /// — the runtime micro-batcher (runtime/batcher.h) relies on this to
-  /// coalesce concurrent sessions' chunks without changing their emitted
-  /// bits. At B = 1 this IS Infer. All items must share (T, F).
-  std::vector<nn::Tensor> InferBatch(
-      const std::vector<const nn::Tensor*>& mixed_mags,
-      const std::vector<const std::vector<float>*>& dvectors) const;
-
   /// Backprop from dLoss/dShadow; accumulates parameter gradients.
   void Backward(const nn::Tensor& grad_shadow);
 
@@ -89,13 +78,6 @@ class Selector {
   void ComputeShadowInto(const dsp::Spectrogram& spec,
                          const std::vector<float>& dvector,
                          std::vector<float>& out) const;
-
-  /// Batched ComputeShadow: applies each item's own gain normalization,
-  /// runs one InferBatch, and un-normalizes per item — bit-identical per
-  /// item to ComputeShadow. All spectrograms must share (T, F).
-  std::vector<std::vector<float>> ComputeShadowBatch(
-      const std::vector<const dsp::Spectrogram*>& specs,
-      const std::vector<const std::vector<float>*>& dvectors) const;
 
   void Save(const std::string& path) const;
   static Selector Load(const std::string& path);

@@ -84,7 +84,7 @@ void StreamingProcessor::BufferSamples(std::span<const float> samples) {
 }
 
 void StreamingProcessor::PopChunkInto(audio::Waveform& chunk) {
-  NEC_CHECK_MSG(HasFullChunk(), "PopChunk without a full buffered chunk");
+  NEC_CHECK_MSG(HasFullChunk(), "PopChunkInto without a full buffered chunk");
   chunk.AssignSilence(buffer_.sample_rate(), chunk_samples_);
   std::copy(buffer_.data().begin(),
             buffer_.data().begin() +
@@ -93,12 +93,6 @@ void StreamingProcessor::PopChunkInto(audio::Waveform& chunk) {
   buffer_.data().erase(
       buffer_.data().begin(),
       buffer_.data().begin() + static_cast<std::ptrdiff_t>(chunk_samples_));
-}
-
-audio::Waveform StreamingProcessor::PopChunk() {
-  audio::Waveform chunk;
-  PopChunkInto(chunk);
-  return chunk;
 }
 
 std::optional<audio::Waveform> StreamingProcessor::Push(

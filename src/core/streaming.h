@@ -52,15 +52,15 @@ class StreamingProcessor {
   /// called from the single thread that owns the processor.
   void Reset();
 
-  // --- Decomposed chunk path (runtime micro-batching; see DESIGN.md §5e).
+  // --- Decomposed chunk path (the nec::runtime strands).
   //
-  // Push == BufferSamples + { PopChunk → GenerateShadow →
-  // CompleteShadowChunk } per full chunk. The batched runtime splits the
-  // loop across threads: the session strand only buffers and pops, the
-  // coalescer runs the batched shadow generation and then completes each
-  // chunk IN STREAM ORDER — CompleteShadowChunk latches the stream-wide
-  // modulation reference from the first non-silent shadow, so completion
-  // order is part of the output bits.
+  // Push == BufferSamples + { PopChunkInto → GenerateShadowInto →
+  // CompleteShadowChunkInto } per full chunk. The runtime drives the
+  // pieces itself so it can pick the selector rung per chunk and retry a
+  // failed generation. CompleteShadowChunkInto latches the stream-wide
+  // modulation reference from the first non-silent shadow, so chunks must
+  // be completed in the order they were popped: completion order is part
+  // of the output bits.
 
   /// Appends monitored samples without processing anything.
   void BufferSamples(std::span<const float> samples);
@@ -68,19 +68,17 @@ class StreamingProcessor {
   /// True when at least chunk_samples() are buffered.
   bool HasFullChunk() const { return buffer_.size() >= chunk_samples_; }
 
-  /// Pops the oldest full chunk (requires HasFullChunk()).
-  audio::Waveform PopChunk();
-
-  /// PopChunk into a caller-owned buffer (rebound in place; capacity
-  /// reused). The zero-allocation strand path pops every chunk through one
-  /// session-owned buffer instead of materializing a fresh Waveform.
+  /// Pops the oldest full chunk (requires HasFullChunk()) into a
+  /// caller-owned buffer (rebound in place; capacity reused), so every
+  /// chunk pops through one session-owned buffer instead of materializing
+  /// a fresh Waveform.
   void PopChunkInto(audio::Waveform& chunk);
 
   /// Second half of the chunk path: stream-reference latch + ultrasonic
-  /// modulation + timing accounting for a shadow produced externally
-  /// (batched GenerateShadowBatch). `selector_ms` is the shadow-generation
-  /// time to attribute to this chunk. Chunks of one processor must be
-  /// completed in the order they were popped.
+  /// modulation + timing accounting for a shadow produced by the caller.
+  /// `selector_ms` is the shadow-generation time to attribute to this
+  /// chunk. Chunks of one processor must be completed in the order they
+  /// were popped.
   audio::Waveform CompleteShadowChunk(audio::Waveform shadow,
                                       double selector_ms);
 
@@ -123,10 +121,10 @@ class StreamingProcessor {
   SelectorKind kind() const { return kind_; }
   const NecPipeline& pipeline() const { return pipeline_; }
 
-  /// STFT/ISTFT scratch for whoever generates this processor's shadows
-  /// (the processor itself, or the runtime coalescer in batched mode).
-  /// Scratch only — contents never affect output bits — but not shareable
-  /// across concurrent callers.
+  /// STFT/ISTFT scratch for a caller that generates this processor's
+  /// shadows through the value-returning GenerateShadow. Scratch only —
+  /// contents never affect output bits — but not shareable across
+  /// concurrent callers.
   dsp::StftWorkspace& stft_workspace() { return scratch_.stft; }
 
   /// Full per-chunk scratch (workspace, spectrogram, shadow surface,

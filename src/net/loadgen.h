@@ -8,7 +8,7 @@
 // One outstanding chunk per session keeps the latency sample
 // well-defined (submit → first shadow byte of that chunk) without
 // assuming anything about output/input sample-rate ratios, while N
-// sessions in flight still saturate the shard's micro-batcher.
+// sessions in flight still keep every worker of the shard busy.
 //
 // Sessions share a small pool of pre-synthesized input streams
 // (synthesis is expensive; serving is what's being measured). Two

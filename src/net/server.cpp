@@ -479,6 +479,17 @@ bool NetServer::HandleFrame(Connection& conn, Frame&& frame) {
                   "wire session id already open");
         return true;
       }
+      // Well-framed is not well-formed: check the snapshot's meaning
+      // before paying for enrollment.
+      runtime::SessionSnapshot restored{
+          .tail = std::move(snap.tail),
+          .mod_reference_peak = std::bit_cast<double>(snap.latch_bits),
+          .chunks_emitted = snap.chunks_done};
+      if (auto bad = manager_->ScreenSnapshot(restored)) {
+        stats_.AddProtocolError();
+        SendError(conn, frame.session_id, bad->category, bad->message);
+        return true;
+      }
       // Re-enroll deterministically from the migrated seeds (same weights
       // + same seeds = the same enrolled session the draining shard had),
       // then install the mid-stream state — partial tail and modulation
@@ -493,12 +504,7 @@ bool NetServer::HandleFrame(Connection& conn, Frame&& frame) {
       session.id = manager_->CreateSession(refs);
       session.speaker_seed = snap.speaker_seed;
       session.ref_seed = snap.ref_seed;
-      manager_->RestoreSession(
-          session.id,
-          runtime::SessionSnapshot{
-              .tail = std::move(snap.tail),
-              .mod_reference_peak = std::bit_cast<double>(snap.latch_bits),
-              .chunks_emitted = snap.chunks_done});
+      manager_->RestoreSession(session.id, restored);
       conn.sessions.push_back(session);
       stats_.AddSessionOpened();
       Frame ack;
@@ -559,10 +565,10 @@ void NetServer::PumpSessions(Connection& conn) {
 
     if (session.draining && !session.closing) {
       // Migration: deliver whatever shadow already completed, then — once
-      // every in-flight chunk has finished (strand parked, inbox empty,
-      // batcher lane idle) — export the mid-stream state and retire the
-      // wire session. The partial tail is NOT flushed: it travels in the
-      // snapshot and completes on the destination shard.
+      // every in-flight chunk has finished (strand parked, inbox empty) —
+      // export the mid-stream state and retire the wire session. The
+      // partial tail is NOT flushed: it travels in the snapshot and
+      // completes on the destination shard.
       if (out.size() > 0) {
         Frame data;
         data.type = FrameType::kShadowData;
@@ -643,9 +649,9 @@ void NetServer::Retire(runtime::SessionManager::SessionId id) {
 }
 
 void NetServer::ReleaseRetired() {
-  // A retired session still had a strand or a batch inside it; it is
-  // released on a later tick, once that has finished. Input it had not
-  // consumed is discarded with it.
+  // A retired session still had a strand inside it; it is released on a
+  // later tick, once that has finished. Input it had not consumed is
+  // discarded with it.
   std::erase_if(retiring_, [this](runtime::SessionManager::SessionId id) {
     return manager_->ReleaseSession(id);
   });

@@ -5,7 +5,7 @@
 // (net/frame.h), maps kOpenSession/kSubmitChunk onto
 // SessionManager::CreateSession/Submit, and streams every session's
 // modulated shadow back as kShadowData frames. All heavy compute stays on
-// the SessionManager's pool (micro-batching, degradation ladder, fault
+// the SessionManager's pool (session strands, degradation ladder, fault
 // containment all apply unchanged); the poll thread only moves bytes,
 // synthesizes enrollment references, and pumps TakeOutput.
 //
@@ -110,7 +110,7 @@ class NetServer {
   void PumpSessions(Connection& conn);
   /// Hands a finished session (closed, migrated away, faulted, or left
   /// open by a dropped connection) back to the manager: released now,
-  /// or on a later tick while a strand or batch is still inside it.
+  /// or on a later tick while a strand is still inside it.
   void Retire(runtime::SessionManager::SessionId id);
   void ReleaseRetired();
   void SendFrame(Connection& conn, const Frame& frame);
@@ -134,7 +134,7 @@ class NetServer {
   std::atomic<std::int64_t> status_depth_override_{-1};
   int port_ = 0;
   TcpListener listener_;
-  /// Finished sessions waiting for their last strand or batch to end;
+  /// Finished sessions waiting for their last strand to end;
   /// poll thread only.
   std::vector<runtime::SessionManager::SessionId> retiring_;
   std::vector<std::unique_ptr<Connection>> connections_;

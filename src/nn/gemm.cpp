@@ -1,7 +1,6 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace nec::nn {
 namespace {
@@ -14,15 +13,6 @@ constexpr std::size_t kMc = 64;
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 256;
 
-// Row-panel parallelism kicks in only when a split pays for its dispatch:
-// enough rows for >= 2 panels of kMc and a non-trivial flop count.
-constexpr std::size_t kParallelMinRows = 2 * kMc;
-constexpr std::size_t kParallelMinMacs = std::size_t{1} << 21;
-constexpr std::size_t kParallelMaxPanels = 16;
-
-GemmParallelFor g_parallel_for;                    // install-once hook
-thread_local bool t_parallel_enabled = false;      // GemmParallelScope gate
-
 inline void ScaleC(float* c, std::size_t count, float beta) {
   if (beta == 0.0f) {
     for (std::size_t i = 0; i < count; ++i) c[i] = 0.0f;
@@ -31,13 +21,13 @@ inline void ScaleC(float* c, std::size_t count, float beta) {
   }
 }
 
-// ---------------------------------------------------------------- serial
-// Every kernel accumulates each C element's k-products in ascending k
-// order regardless of tile position, so a row-panel split (which only
-// partitions M) reproduces the serial result bit-for-bit.
+}  // namespace
 
-void GemmNNSerial(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t n, std::size_t k, float alpha, float beta) {
+// Every kernel accumulates each C element's k-products in ascending k
+// order regardless of tile position.
+
+void GemmNN(const float* a, const float* b, float* c, std::size_t m,
+            std::size_t n, std::size_t k, float alpha, float beta) {
   ScaleC(c, m * n, beta);
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t nc = std::min(kNc, n - jc);
@@ -61,8 +51,8 @@ void GemmNNSerial(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
-void GemmNTSerial(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t n, std::size_t k, float alpha, float beta) {
+void GemmNT(const float* a, const float* b, float* c, std::size_t m,
+            std::size_t n, std::size_t k, float alpha, float beta) {
   // Dot-product formulation: the k loop is contiguous in both A and B
   // rows. i/j tiling keeps a kMc x k panel of A and a kNc x k panel of B
   // hot across the tile; the 4-wide i unroll shares each B-row load across
@@ -112,23 +102,19 @@ void GemmNTSerial(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
-/// TN kernel over the row slice [row0, row0 + rows) of C. A is stored
-/// (K, M) with row stride `lda` (= the full M), so a C-row panel is a
-/// column slice of A.
-void GemmTNPanel(const float* a, const float* b, float* c, std::size_t row0,
-                 std::size_t rows, std::size_t lda, std::size_t n,
-                 std::size_t k, float alpha, float beta) {
-  ScaleC(c + row0 * n, rows * n, beta);
+void GemmTN(const float* a, const float* b, float* c, std::size_t m,
+            std::size_t n, std::size_t k, float alpha, float beta) {
+  ScaleC(c, m * n, beta);
   // Rank-1 update form, blocked so the kMc x kNc tile of C stays hot
   // across a kKc run of k instead of re-streaming all of C per k row.
   for (std::size_t pc = 0; pc < k; pc += kKc) {
     const std::size_t kc = std::min(kKc, k - pc);
-    for (std::size_t ic = row0; ic < row0 + rows; ic += kMc) {
-      const std::size_t mc = std::min(kMc, row0 + rows - ic);
+    for (std::size_t ic = 0; ic < m; ic += kMc) {
+      const std::size_t mc = std::min(kMc, m - ic);
       for (std::size_t jc = 0; jc < n; jc += kNc) {
         const std::size_t nc = std::min(kNc, n - jc);
         for (std::size_t kk = pc; kk < pc + kc; ++kk) {
-          const float* ak = a + kk * lda;
+          const float* ak = a + kk * m;
           const float* __restrict bk = b + kk * n + jc;
           for (std::size_t i = ic; i < ic + mc; ++i) {
             const float av = alpha * ak[i];
@@ -140,85 +126,6 @@ void GemmTNPanel(const float* a, const float* b, float* c, std::size_t row0,
       }
     }
   }
-}
-
-// -------------------------------------------------------------- parallel
-
-bool ShouldParallelize(std::size_t m, std::size_t n, std::size_t k) {
-  return t_parallel_enabled && g_parallel_for != nullptr &&
-         m >= kParallelMinRows && m * n * k >= kParallelMinMacs;
-}
-
-/// Splits [0, m) into row panels and runs `panel(i0, rows)` for each via
-/// the installed hook. Panel boundaries are kMc-aligned so each panel's
-/// internal tiling (and unroll grouping) coincides with the serial
-/// kernel's — a requirement for bit-exact parallel results. Workers see
-/// t_parallel_enabled == false (it is thread-local), so panel bodies never
-/// fan out recursively.
-void ParallelOverRows(
-    std::size_t m,
-    const std::function<void(std::size_t, std::size_t)>& panel) {
-  const std::size_t max_panels =
-      std::min(kParallelMaxPanels, (m + kMc - 1) / kMc);
-  const std::size_t rows_per_panel =
-      ((m + max_panels - 1) / max_panels + kMc - 1) / kMc * kMc;
-  const std::size_t panels = (m + rows_per_panel - 1) / rows_per_panel;
-  g_parallel_for(panels, [&](std::size_t p) {
-    const std::size_t i0 = p * rows_per_panel;
-    panel(i0, std::min(rows_per_panel, m - i0));
-  });
-}
-
-}  // namespace
-
-void SetGemmParallelFor(GemmParallelFor fn) {
-  g_parallel_for = std::move(fn);
-}
-
-bool GemmParallelActive() {
-  return t_parallel_enabled && g_parallel_for != nullptr;
-}
-
-GemmParallelScope::GemmParallelScope(bool enabled)
-    : previous_(t_parallel_enabled) {
-  t_parallel_enabled = enabled;
-}
-
-GemmParallelScope::~GemmParallelScope() { t_parallel_enabled = previous_; }
-
-void GemmNN(const float* a, const float* b, float* c, std::size_t m,
-            std::size_t n, std::size_t k, float alpha, float beta) {
-  if (ShouldParallelize(m, n, k)) {
-    ParallelOverRows(m, [&](std::size_t i0, std::size_t rows) {
-      GemmNNSerial(a + i0 * k, b, c + i0 * n, rows, n, k, alpha, beta);
-    });
-    return;
-  }
-  GemmNNSerial(a, b, c, m, n, k, alpha, beta);
-}
-
-void GemmNT(const float* a, const float* b, float* c, std::size_t m,
-            std::size_t n, std::size_t k, float alpha, float beta) {
-  if (ShouldParallelize(m, n, k)) {
-    ParallelOverRows(m, [&](std::size_t i0, std::size_t rows) {
-      GemmNTSerial(a + i0 * k, b, c + i0 * n, rows, n, k, alpha, beta);
-    });
-    return;
-  }
-  GemmNTSerial(a, b, c, m, n, k, alpha, beta);
-}
-
-void GemmTN(const float* a, const float* b, float* c, std::size_t m,
-            std::size_t n, std::size_t k, float alpha, float beta) {
-  if (ShouldParallelize(m, n, k)) {
-    // A is stored (K, M): a row panel of C corresponds to a column slice
-    // of A, offset by i0 within each k row.
-    ParallelOverRows(m, [&](std::size_t i0, std::size_t rows) {
-      GemmTNPanel(a, b, c, i0, rows, m, n, k, alpha, beta);
-    });
-    return;
-  }
-  GemmTNPanel(a, b, c, 0, m, m, n, k, alpha, beta);
 }
 
 }  // namespace nec::nn

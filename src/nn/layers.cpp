@@ -15,11 +15,6 @@ Tensor Layer::Infer(const Tensor&) const {
   return Tensor();
 }
 
-Tensor Layer::InferBatch(const Tensor&) const {
-  NEC_CHECK_MSG(false, Name() << " has no batched inference path");
-  return Tensor();
-}
-
 // ---------------------------------------------------------------- Conv2D
 
 Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
@@ -133,7 +128,7 @@ inline void StoreConvVec(float* p, ConvVec v) {
 // The padding contributes explicit `w * 0.0f` addends, exactly like the
 // zero entries of the im2col lowering the training path keeps for its
 // gradients — every output element sees the same addend sequence on every
-// path (Forward, Infer, InferBatch), so the kernels are bit-compatible by
+// path (Forward, Infer), so the kernels are bit-compatible by
 // construction.
 //
 // Why direct instead of im2col + GEMM: C_out is tiny (selector convs are
@@ -261,25 +256,6 @@ Tensor Conv2D::Infer(const Tensor& input) const {
   return out;
 }
 
-Tensor Conv2D::InferBatch(const Tensor& batch) const {
-  NEC_CHECK_MSG(batch.rank() == 4 && batch.dim(1) == in_channels_,
-                "Conv2D::InferBatch expects (B, in_channels, H, W)");
-  const std::size_t b = batch.dim(0), h = batch.dim(2), w = batch.dim(3);
-  const std::size_t in_item = in_channels_ * h * w;
-  const std::size_t out_item = out_channels_ * h * w;
-  thread_local std::vector<float> scratch;
-  Tensor out({b, out_channels_, h, w});
-  // Each item runs exactly the per-item ComputeInto kernel over the shared
-  // weights, so the batched path is bit-identical to looped Infer by
-  // construction (the batch win is hot-cache weights and amortized
-  // per-layer overhead, not a reassociated reduction).
-  for (std::size_t i = 0; i < b; ++i) {
-    ComputeInto(batch.data() + i * in_item, h, w, scratch,
-                out.data() + i * out_item);
-  }
-  return out;
-}
-
 Tensor Conv2D::Backward(const Tensor& grad_output) {
   NEC_CHECK_MSG(grad_output.rank() == 3 &&
                     grad_output.dim(0) == out_channels_ &&
@@ -352,32 +328,19 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng)
   NEC_CHECK(in_features >= 1 && out_features >= 1);
 }
 
-void Linear::InferRows(const float* in, std::size_t rows, float* out) const {
-  // Each output row depends only on its own input row, so running B items'
-  // rows through ONE GemmNT call is bit-identical, row for row, to B
-  // separate calls — the property Linear::InferBatch relies on.
-  GemmNT(in, weight_.value.data(), out, rows, out_features_, in_features_);
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* orow = out + r * out_features_;
-    for (std::size_t j = 0; j < out_features_; ++j)
-      orow[j] += bias_.value[j];
-  }
-}
-
 Tensor Linear::Infer(const Tensor& input) const {
   NEC_CHECK_MSG(input.rank() == 2 && input.dim(1) == in_features_,
                 "Linear expects (rows, in_features); got last dim "
                     << (input.rank() >= 1 ? input.dim(input.rank() - 1) : 0));
-  Tensor out({input.dim(0), out_features_});
-  InferRows(input.data(), input.dim(0), out.data());
-  return out;
-}
-
-Tensor Linear::InferBatch(const Tensor& batch) const {
-  NEC_CHECK_MSG(batch.rank() == 3 && batch.dim(2) == in_features_,
-                "Linear::InferBatch expects (B, rows, in_features)");
-  Tensor out({batch.dim(0), batch.dim(1), out_features_});
-  InferRows(batch.data(), batch.dim(0) * batch.dim(1), out.data());
+  const std::size_t rows = input.dim(0);
+  Tensor out({rows, out_features_});
+  GemmNT(input.data(), weight_.value.data(), out.data(), rows, out_features_,
+         in_features_);
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* orow = out.data() + r * out_features_;
+    for (std::size_t j = 0; j < out_features_; ++j)
+      orow[j] += bias_.value[j];
+  }
   return out;
 }
 
@@ -420,8 +383,6 @@ Tensor ReLU::Infer(const Tensor& input) const {
   return out;
 }
 
-Tensor ReLU::InferBatch(const Tensor& batch) const { return Infer(batch); }
-
 Tensor ReLU::Forward(const Tensor& input) {
   input_cache_ = input;
   last_elems_ = input.numel();
@@ -443,10 +404,6 @@ Tensor Sigmoid::Infer(const Tensor& input) const {
   for (std::size_t i = 0; i < out.numel(); ++i)
     o[i] = 1.0f / (1.0f + std::exp(-o[i]));
   return out;
-}
-
-Tensor Sigmoid::InferBatch(const Tensor& batch) const {
-  return Infer(batch);
 }
 
 Tensor Sigmoid::Forward(const Tensor& input) {
@@ -472,8 +429,6 @@ Tensor Tanh::Infer(const Tensor& input) const {
   for (std::size_t i = 0; i < out.numel(); ++i) o[i] = std::tanh(o[i]);
   return out;
 }
-
-Tensor Tanh::InferBatch(const Tensor& batch) const { return Infer(batch); }
 
 Tensor Tanh::Forward(const Tensor& input) {
   Tensor out = Infer(input);
@@ -523,7 +478,7 @@ void LayerNorm::NormalizeRows(const float* in, std::size_t rows, float* out,
     float* o = out + r * n;
     // Fixed ascending-order double accumulation: rows are normalized
     // independently and identically regardless of how many ride in the
-    // call, which is what makes Infer/InferBatch bit-identical per item.
+    // call.
     double sum = 0.0;
     for (std::size_t j = 0; j < n; ++j) sum += x[j];
     const float mean = static_cast<float>(sum / static_cast<double>(n));
@@ -550,12 +505,6 @@ Tensor LayerNorm::Infer(const Tensor& input) const {
   Tensor out(input.shape());
   NormalizeRows(input.data(), input.numel() / features_, out.data());
   return out;
-}
-
-Tensor LayerNorm::InferBatch(const Tensor& batch) const {
-  // Row-wise and shape-preserving: a leading batch dim just folds into
-  // the row count, so the batched path IS the per-item path.
-  return Infer(batch);
 }
 
 Tensor LayerNorm::Forward(const Tensor& input) {
@@ -673,12 +622,6 @@ Tensor Sequential::Backward(const Tensor& grad_output) {
 Tensor Sequential::Infer(const Tensor& input) const {
   Tensor x = input;
   for (const auto& layer : layers_) x = layer->Infer(x);
-  return x;
-}
-
-Tensor Sequential::InferBatch(const Tensor& batch) const {
-  Tensor x = batch;
-  for (const auto& layer : layers_) x = layer->InferBatch(x);
   return x;
 }
 

@@ -14,15 +14,6 @@
 //     locals), and is bit-identical to Forward. Any number of threads may
 //     call Infer on the same layer concurrently as long as nothing mutates
 //     the parameters at the same time.
-//   * InferBatch is const like Infer and takes a leading batch dimension
-//     (rank 4 (B, C, H, W) for Conv2D, rank 3 (B, rows, in) for Linear,
-//     Infer's shape plus one leading dim for elementwise/norm layers). It
-//     is REQUIRED to be bit-identical, per item, to slicing the batch and
-//     calling Infer item by item: every output element accumulates its
-//     k-products in the same ascending-k order on both paths. At batch = 1
-//     it therefore reduces exactly to Infer. The runtime micro-batching
-//     layer (runtime/batcher.h) depends on this to coalesce chunks from
-//     concurrent sessions without changing any session's emitted bits.
 //
 // The LSTM layer exists for the VoiceFilter runtime baseline (Table II) and
 // implements forward only — the baseline is never trained in this repo.
@@ -63,10 +54,6 @@ class Layer {
   /// keep the throwing default.
   virtual Tensor Infer(const Tensor& input) const;
 
-  /// Batched const forward over a leading batch dimension, bit-identical
-  /// per item to looped Infer (see contract above). Throwing default.
-  virtual Tensor InferBatch(const Tensor& batch) const;
-
   /// Learnable parameters (empty for activations).
   virtual std::vector<Param*> Params() { return {}; }
 
@@ -84,14 +71,13 @@ class Layer {
 /// "same" padding, independent dilation per axis. Height is the time axis
 /// and width the frequency axis in the selector's usage.
 ///
-/// Forward, Infer and InferBatch all run ONE direct kernel (ComputeInto):
-/// a zero-padded input copy plus per-tap axpys vectorized over the width
+/// Forward and Infer both run ONE direct kernel (ComputeInto): a
+/// zero-padded input copy plus per-tap axpys vectorized over the width
 /// axis, each output element accumulating its K taps ascending in k. The
 /// im2col lowering survives only as Backward's gradient workspace. Sharing
-/// the kernel makes every path bit-identical by construction — the batched
-/// inference contract above — and the direct form is an order of magnitude
-/// lighter on memory traffic than im2col + GEMM at the selector's tiny
-/// channel counts.
+/// the kernel makes both paths bit-identical by construction, and the
+/// direct form is an order of magnitude lighter on memory traffic than
+/// im2col + GEMM at the selector's tiny channel counts.
 class Conv2D : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels,
@@ -101,8 +87,6 @@ class Conv2D : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
   Tensor Infer(const Tensor& input) const override;
-  /// (B, C_in, H, W) -> (B, C_out, H, W).
-  Tensor InferBatch(const Tensor& batch) const override;
   std::vector<Param*> Params() override { return {&weight_, &bias_}; }
   std::string Name() const override { return "Conv2D"; }
   std::size_t LastForwardMacs() const override { return last_macs_; }
@@ -141,8 +125,6 @@ class Linear : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
   Tensor Infer(const Tensor& input) const override;
-  /// (B, rows, in) -> (B, rows, out); one GEMM over all B*rows rows.
-  Tensor InferBatch(const Tensor& batch) const override;
   std::vector<Param*> Params() override { return {&weight_, &bias_}; }
   std::string Name() const override { return "Linear"; }
   std::size_t LastForwardMacs() const override { return last_macs_; }
@@ -154,9 +136,6 @@ class Linear : public Layer {
   Param& bias() { return bias_; }
 
  private:
-  /// Shared kernel: `rows` rows of `in` produce `rows` rows of `out`.
-  void InferRows(const float* in, std::size_t rows, float* out) const;
-
   std::size_t in_features_, out_features_;
   Param weight_;  // (out, in)
   Param bias_;    // (out)
@@ -170,7 +149,6 @@ class ReLU : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
   Tensor Infer(const Tensor& input) const override;
-  Tensor InferBatch(const Tensor& batch) const override;
   std::string Name() const override { return "ReLU"; }
   std::size_t LastForwardMacs() const override { return last_elems_; }
 
@@ -185,7 +163,6 @@ class Sigmoid : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
   Tensor Infer(const Tensor& input) const override;
-  Tensor InferBatch(const Tensor& batch) const override;
   std::string Name() const override { return "Sigmoid"; }
   std::size_t LastForwardMacs() const override { return last_elems_; }
 
@@ -200,7 +177,6 @@ class Tanh : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
   Tensor Infer(const Tensor& input) const override;
-  Tensor InferBatch(const Tensor& batch) const override;
   std::string Name() const override { return "Tanh"; }
   std::size_t LastForwardMacs() const override { return last_elems_; }
 
@@ -212,9 +188,7 @@ class Tanh : public Layer {
 /// Layer normalization over the last dimension with learnable gain/bias:
 /// y = g * (x - mean) / sqrt(var + eps) + b, per row. The paper's selector
 /// uses no normalization; this is the nn substrate's norm layer (available
-/// to encoder MLPs and ablation variants) and takes part in the batched
-/// inference contract like every other layer — rows are independent, so
-/// batching is bit-exact by construction.
+/// to encoder MLPs and ablation variants).
 class LayerNorm : public Layer {
  public:
   explicit LayerNorm(std::size_t features, float eps = 1e-5f);
@@ -222,7 +196,6 @@ class LayerNorm : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
   Tensor Infer(const Tensor& input) const override;
-  Tensor InferBatch(const Tensor& batch) const override;
   std::vector<Param*> Params() override { return {&gain_, &bias_}; }
   std::string Name() const override { return "LayerNorm"; }
   std::size_t LastForwardMacs() const override { return last_elems_; }
@@ -249,8 +222,8 @@ class LayerNorm : public Layer {
 
 /// Unidirectional LSTM over a (T, input) sequence producing (T, hidden).
 /// Forward-only: used by the VoiceFilter baseline for runtime comparison.
-/// Keeps the throwing Infer/InferBatch defaults — the baseline never runs
-/// on the shared-weight concurrent path.
+/// Keeps the throwing Infer default — the baseline never runs on the
+/// shared-weight concurrent path.
 class Lstm : public Layer {
  public:
   Lstm(std::size_t input_size, std::size_t hidden_size, Rng& rng);
@@ -279,9 +252,8 @@ class Sequential {
 
   Tensor Forward(const Tensor& input);
   Tensor Backward(const Tensor& grad_output);
-  /// Const chains of the layers' Infer/InferBatch paths.
+  /// Const chain of the layers' Infer paths.
   Tensor Infer(const Tensor& input) const;
-  Tensor InferBatch(const Tensor& batch) const;
   std::vector<Param*> Params();
   std::size_t size() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }

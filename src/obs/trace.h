@@ -4,11 +4,11 @@
 // The runtime's aggregate RuntimeStats quantiles say *that* a chunk was
 // slow; a trace says *where* it spent its time — STFT vs. selector forward
 // vs. inverse STFT vs. AM modulation, and in the serving layer submit →
-// coalesce → batch dispatch → strand run. Every pipeline stage wraps
-// itself in NEC_TRACE_SPAN(name); the recorder timestamps the scope with a
-// steady nanosecond clock and appends one fixed-size event to the calling
-// thread's private ring buffer. Batch spans carry flow ids that link the
-// batched selector forward back to each member chunk's completion span.
+// strand run → shard compute. Every pipeline stage wraps itself in
+// NEC_TRACE_SPAN(name); the recorder timestamps the scope with a steady
+// nanosecond clock and appends one fixed-size event to the calling
+// thread's private ring buffer. Flow ids carried on the wire link a
+// client's chunk submit to the shard span that computed it.
 //
 // Cost contract (verified by bench_obs_overhead): tracing is compiled in
 // everywhere but DISABLED by default, and a disabled span site costs one
@@ -70,7 +70,7 @@ struct TraceEvent {
   std::uint64_t start_ns = 0;  ///< TraceNowNs() at scope entry
   std::uint64_t dur_ns = 0;    ///< kSpan only
   std::uint64_t flow_id = 0;   ///< nonzero links events across threads
-  std::uint64_t arg = kNoArg;  ///< numeric payload (session id, batch size)
+  std::uint64_t arg = kNoArg;  ///< numeric payload (e.g. session id)
   std::uint32_t tid = 0;       ///< dense per-process thread index
   TraceEventKind kind = TraceEventKind::kSpan;
 

@@ -3,8 +3,8 @@
 //
 // The paper's physical deployment degrades gracefully — a late or weak
 // shadow just cancels less of Bob — but a serving process is brittle by
-// default: one thrown nec::CheckError inside a strand or the coalescer
-// would kill a pool worker or wedge a session. This header defines the
+// default: one thrown nec::CheckError inside a session strand would kill
+// a pool worker or wedge a session. This header defines the
 // vocabulary the runtime uses to contain faults at the session boundary:
 //
 //   * ErrorCategory / SessionError — what went wrong, as a small closed
@@ -109,13 +109,13 @@ class InjectedFault : public std::runtime_error {
 
 /// Deterministic, seeded fault injector. Compiled in always; every site
 /// costs one relaxed atomic load while disarmed. Sites are named strings
-/// (e.g. "strand.chunk", "batch.item", "pool.submit") hit by runtime code
+/// (e.g. "strand.chunk", "pool.submit") hit by runtime code
 /// via OnSite()/SaturateAt(); a site only fires for hits whose key
 /// matches its armed Spec, so tests can target exactly one session.
 ///
 /// Determinism: each armed site owns a seeded Rng consumed only by
 /// matching hits. A key-filtered site is hit from a single thread at a
-/// time (one strand per session; one coalescer), so given the same seed
+/// time (one strand per session), so given the same seed
 /// and stream the injection schedule is reproducible.
 class FaultInjector {
  public:

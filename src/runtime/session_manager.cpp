@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <string>
 #include <thread>
@@ -53,26 +54,11 @@ SessionManager::SessionManager(
   NEC_CHECK(selector_ != nullptr && encoder_ != nullptr);
   chunk_samples_ = static_cast<std::size_t>(
       options_.chunk_s * selector_->config().sample_rate);
-  if (options_.max_batch > 1 &&
-      options_.kind == core::SelectorKind::kNeural) {
-    batcher_ = std::make_unique<ContinuousBatcher>(
-        ContinuousBatcher::Options{.max_batch = options_.max_batch,
-                                   .workers = options_.workers,
-                                   .deadline_ms = options_.deadline_ms},
-        [this](std::vector<ContinuousBatcher::Item>&& items) {
-          RunBatch(std::move(items));
-        });
-  }
 }
 
 SessionManager::~SessionManager() { Shutdown(); }
 
-void SessionManager::Shutdown() {
-  // Pool first (no strand can Enqueue afterwards), then the batcher —
-  // its Shutdown dispatches whatever is still pending before joining.
-  pool_.Shutdown();
-  if (batcher_ != nullptr) batcher_->Shutdown();
-}
+void SessionManager::Shutdown() { pool_.Shutdown(); }
 
 SessionManager::SessionId SessionManager::CreateSession(
     std::span<const audio::Waveform> references) {
@@ -100,33 +86,63 @@ SessionManager::Session* SessionManager::GetSession(SessionId id) const {
   return sessions_[id].get();
 }
 
+std::optional<SessionError> SessionManager::ScreenSamples(
+    std::span<const float>& samples, std::vector<float>& repaired,
+    const char* what) {
+  // Input hygiene at the service boundary: NaN/Inf/wild-amplitude capture
+  // audio never reaches the DSP. The scan is one pass over the samples —
+  // noise next to the selector forward.
+  if (options_.fault.bad_input == BadInputPolicy::kTrust || samples.empty()) {
+    return std::nullopt;
+  }
+  const SampleScan scan = ScanSamples(samples);
+  if (scan.clean()) return std::nullopt;
+  if (options_.fault.bad_input == BadInputPolicy::kReject) {
+    stats_.AddBadInputRejection();
+    return SessionError{ErrorCategory::kBadInput,
+                        std::string("rejected ") + what + ": " +
+                            std::to_string(scan.nonfinite) +
+                            " non-finite + " + std::to_string(scan.wild) +
+                            " wild-amplitude samples"};
+  }
+  repaired.assign(samples.begin(), samples.end());
+  stats_.AddSanitized(SanitizeSamples(repaired).total());
+  samples = repaired;
+  return std::nullopt;
+}
+
+std::optional<SessionError> SessionManager::ScreenSnapshot(
+    SessionSnapshot& snapshot) {
+  const double latch = snapshot.mod_reference_peak;
+  if (!std::isfinite(latch) || latch < 0.0) {
+    return SessionError{ErrorCategory::kBadInput,
+                        "snapshot modulation latch " + std::to_string(latch) +
+                            " is not a finite non-negative peak"};
+  }
+  if (snapshot.tail.size() >= chunk_samples_) {
+    return SessionError{ErrorCategory::kBadInput,
+                        "snapshot tail of " +
+                            std::to_string(snapshot.tail.size()) +
+                            " samples is not a partial chunk (< " +
+                            std::to_string(chunk_samples_) + ")"};
+  }
+  std::vector<float> repaired;
+  std::span<const float> tail = snapshot.tail;
+  if (auto bad = ScreenSamples(tail, repaired, "snapshot tail")) return bad;
+  if (!repaired.empty()) snapshot.tail = std::move(repaired);
+  return std::nullopt;
+}
+
 SubmitResult SessionManager::Submit(SessionId id,
                                     std::span<const float> samples,
                                     std::uint64_t trace_flow) {
   NEC_TRACE_SPAN_ARG("runtime.submit", id);
   Session* s = GetSession(id);
 
-  // Input hygiene at the service boundary: NaN/Inf/wild-amplitude capture
-  // audio never reaches the DSP. The scan is one pass over the samples —
-  // noise next to the selector forward.
   std::vector<float> repaired;
   std::span<const float> accepted = samples;
-  if (options_.fault.bad_input != BadInputPolicy::kTrust &&
-      !samples.empty()) {
-    const SampleScan scan = ScanSamples(samples);
-    if (!scan.clean()) {
-      if (options_.fault.bad_input == BadInputPolicy::kReject) {
-        stats_.AddBadInputRejection();
-        return SubmitResult{SessionError{
-            ErrorCategory::kBadInput,
-            "rejected submit: " + std::to_string(scan.nonfinite) +
-                " non-finite + " + std::to_string(scan.wild) +
-                " wild-amplitude samples"}};
-      }
-      repaired.assign(samples.begin(), samples.end());
-      stats_.AddSanitized(SanitizeSamples(repaired).total());
-      accepted = repaired;
-    }
+  if (auto bad = ScreenSamples(accepted, repaired, "submit")) {
+    return SubmitResult{std::move(bad)};
   }
 
   stats_.AddSamples(accepted.size());
@@ -141,7 +157,7 @@ SubmitResult SessionManager::Submit(SessionId id,
     }
     if (s->inbox.empty() && !accepted.empty()) {
       // Arrival time of the oldest unconsumed samples — the anchor for
-      // end-to-end latency on the unbatched path.
+      // end-to-end latency.
       s->inbox_since = std::chrono::steady_clock::now();
     }
     s->inbox.insert(s->inbox.end(), accepted.begin(), accepted.end());
@@ -178,12 +194,7 @@ SubmitResult SessionManager::Submit(SessionId id,
 }
 
 void SessionManager::RunStrand(Session* s) {
-  if (batcher_ != nullptr) {
-    RunStrandBatched(s);
-    return;
-  }
   NEC_TRACE_SPAN_ARG("runtime.strand", s->id);
-  std::vector<float> take;
   for (;;) {
     std::chrono::steady_clock::time_point ready;
     std::uint64_t flow = 0;
@@ -193,7 +204,7 @@ void SessionManager::RunStrand(Session* s) {
         s->running = false;
         break;
       }
-      take.assign(s->inbox.begin(), s->inbox.end());
+      s->take.assign(s->inbox.begin(), s->inbox.end());
       s->inbox.clear();
       flow = std::exchange(s->wire_flow, 0);
       // Chunks completed from this take were waiting since the oldest
@@ -203,7 +214,7 @@ void SessionManager::RunStrand(Session* s) {
       // matters for the deadline check).
       ready = s->inbox_since;
     }
-    s->proc.BufferSamples(take);
+    s->proc.BufferSamples(s->take);
     bool faulted = false;
     while (s->proc.HasFullChunk()) {
       s->proc.PopChunkInto(s->chunk_buf);
@@ -216,42 +227,19 @@ void SessionManager::RunStrand(Session* s) {
       }
     }
     if (faulted) break;
-  }
-  FinishStrand();
-}
-
-void SessionManager::RunStrandBatched(Session* s) {
-  // Batched strand: never runs the selector. Buffers the inbox into the
-  // processor, pops every ready chunk, and hands each to the batcher in
-  // stream order — degraded chunks included, so ALL completion happens on
-  // the dispatcher that claimed the session's lane and per-session FIFO
-  // order survives ladder transitions. Completion (shadow + modulation +
-  // output append) happens in RunBatch.
-  NEC_TRACE_SPAN_ARG("runtime.strand_batched", s->id);
-  std::vector<float> take;
-  for (;;) {
-    std::uint64_t flow = 0;
+    // If more input arrived during this take, yield the worker by
+    // re-posting the strand behind whatever else is queued. `running`
+    // stays true and the in-flight count carries over to the re-posted
+    // task. The push never blocks and never evicts another strand; when
+    // the queue is full the strand keeps draining here instead.
+    bool more = false;
     {
       std::lock_guard lock(s->mu);
-      if (s->inbox.empty() || s->error.has_value()) {
-        s->running = false;
-        break;
-      }
-      take.assign(s->inbox.begin(), s->inbox.end());
-      s->inbox.clear();
-      flow = std::exchange(s->wire_flow, 0);
+      more = !s->inbox.empty() && !s->error.has_value();
     }
-    try {
-      s->proc.BufferSamples(take);
-      while (s->proc.HasFullChunk()) {
-        FaultInjector::Global().OnSite("strand.chunk", s->id);
-        // First chunk of the take carries the wire flow (if any); the
-        // batcher adopts it instead of minting a local id.
-        batcher_->Enqueue(s, s->proc.PopChunk(), std::exchange(flow, 0));
-      }
-    } catch (...) {
-      FaultSession(s, ClassifyCurrentException(), /*ends_strand=*/true);
-      break;
+    if (more && pool_.TrySubmit([this, s] { RunStrand(s); },
+                                /*on_drop=*/[this, s] { AbandonStrand(s); })) {
+      return;
     }
   }
   FinishStrand();
@@ -361,209 +349,23 @@ bool SessionManager::ProcessOneChunk(
           continue;
         }
       }
-      // Unbatched, this runs on the session's strand; batched, only on
-      // the dispatcher holding its lane.
-      FaultSession(s, std::move(err), /*ends_strand=*/batcher_ == nullptr);
+      FaultSession(s, std::move(err));
       return false;
     }
   }
 }
 
-void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
-  NEC_TRACE_SPAN_ARG("runtime.batch", items.size());
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t t0_ns =
-      obs::TraceRecorder::Global().enabled() ? obs::TraceNowNs() : 0;
-  stats_.AddBatch(items.size());
-  for (const ContinuousBatcher::Item& it : items) {
-    const double wait_ms =
-        std::chrono::duration<double, std::milli>(t0 - it.enqueued)
-            .count();
-    stats_.AddQueueWait(wait_ms);
-    // Hop decomposition (§5g): batcher wait is the batched path's
-    // shard-queue share.
-    HopStats::Global().Record(Hop::kShardQueue, wait_ms);
-  }
-
-  // Disposition pass, in admission order: a faulted session's items are
-  // shed (a fault may land between Enqueue and dispatch); only chunks at
-  // the kNeural rung join the batched forward — degraded chunks are
-  // generated singly in the completion loop below, which runs strictly in
-  // admission order (FIFO within each session — the batcher's lane
-  // invariant) so per-session chunk order, and with it the modulation
-  // latch, is preserved across ladder transitions.
-  enum class Route { kShed, kBatched, kSingle };
-  std::vector<Route> route(items.size());
-  std::vector<std::size_t> neural;
-  neural.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    Session* s = static_cast<Session*>(items[i].key);
-    std::lock_guard lock(s->mu);
-    if (s->error.has_value()) {
-      route[i] = Route::kShed;
-    } else if (s->level == DegradeLevel::kNeural) {
-      route[i] = Route::kBatched;
-      neural.push_back(i);
-    } else {
-      route[i] = Route::kSingle;
-    }
-  }
-
-  std::vector<std::optional<audio::Waveform>> shadows(items.size());
-  std::vector<std::optional<SessionError>> errors(items.size());
-  double selector_ms_each = 0.0;
-  if (!neural.empty()) {
-    const auto tf = std::chrono::steady_clock::now();
-    GenerateShadowsBisect(items, neural, 0, neural.size(), shadows, errors);
-    // Attribute the batched shadow-generation wall time evenly across the
-    // chunks it served, mirroring the per-chunk selector_ms accounting.
-    selector_ms_each = MsSince(tf) / static_cast<double>(neural.size());
-  }
-
-  // Complete in admission order: per-session chunk order — and with it
-  // the stream-wide modulation-reference latch — is part of the bits.
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    Session* s = static_cast<Session*>(items[i].key);
-    switch (route[i]) {
-      case Route::kShed:
-        stats_.AddSamplesDropped(items[i].chunk.size());
-        break;
-      case Route::kBatched:
-        if (errors[i].has_value()) {
-          // The bisection isolated this item as the poison.
-          HandleGenerationError(s, std::move(items[i].chunk),
-                                std::move(*errors[i]), items[i].enqueued);
-          break;
-        }
-        try {
-          s->proc.CompleteShadowChunkInto(*shadows[i], selector_ms_each,
-                                          s->mod_buf);
-          // Chunk latency keeps its PR 2 meaning — processing time, not
-          // queue wait: batch dispatch start → this chunk's completion.
-          // End-to-end latency is the honest one: batcher enqueue → this
-          // completion, queue wait included.
-          const double total_ms = MsSince(t0);
-          stats_.AddChunk(total_ms);
-          stats_.AddChunkE2E(MsSince(items[i].enqueued));
-          HopStats::Global().Record(Hop::kShardCompute, total_ms);
-          if (t0_ns != 0) {
-            obs::TraceRecorder::Global().RecordSpan(
-                "shard.compute", "nec", t0_ns, obs::TraceNowNs() - t0_ns,
-                items[i].flow_id, s->id);
-          }
-          std::lock_guard lock(s->mu);
-          if (s->output.size() == 0) {
-            s->output_since = std::chrono::steady_clock::now();
-          }
-          s->output.Append(s->mod_buf);
-          ++s->chunk_count;
-          UpdateWatchdogLocked(s, DegradeLevel::kNeural, /*probe=*/false,
-                               total_ms);
-        } catch (...) {
-          FaultSession(s, ClassifyCurrentException(), /*ends_strand=*/false);
-        }
-        break;
-      case Route::kSingle:
-        // Degraded (or probing) session: generate on the claiming
-        // dispatcher so completion order stays FIFO. ProcessOneChunk owns
-        // retries, the ladder, the fault transition — and, via the flow
-        // id, this chunk's flow-end event (skip the shared one below or
-        // the arrow head would be emitted twice).
-        ProcessOneChunk(s, items[i].chunk, items[i].enqueued,
-                        items[i].flow_id);
-        continue;
-    }
-    // Flow arrow head: ties this chunk's completion (or shedding) back to
-    // its Enqueue tail, batch membership visible via the enclosing span.
-    obs::TraceRecorder::Global().RecordFlow(obs::TraceEventKind::kFlowEnd,
-                                            "chunk.flow", items[i].flow_id);
-  }
-}
-
-void SessionManager::GenerateShadowsBisect(
-    std::vector<ContinuousBatcher::Item>& items,
-    const std::vector<std::size_t>& indices, std::size_t begin,
-    std::size_t end, std::vector<std::optional<audio::Waveform>>& shadows,
-    std::vector<std::optional<SessionError>>& errors) {
-  const std::size_t n = end - begin;
-  if (n == 0) return;
-  try {
-    std::vector<core::ShadowBatchRequest> requests(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t i = indices[begin + j];
-      Session* s = static_cast<Session*>(items[i].key);
-      // Per-item injection site, hit inside the attempt so the bisection
-      // isolates down to the single poisoned item.
-      FaultInjector::Global().OnSite("batch.item", s->id);
-      requests[j] = core::ShadowBatchRequest{
-          .pipeline = &s->pipeline,
-          .mixed = &items[i].chunk,
-          .ws = &s->proc.stft_workspace()};
-    }
-    std::vector<audio::Waveform> out = core::GenerateShadowBatch(requests);
-    for (std::size_t j = 0; j < n; ++j) {
-      shadows[indices[begin + j]] = std::move(out[j]);
-    }
-  } catch (...) {
-    if (n == 1) {
-      errors[indices[begin]] = ClassifyCurrentException();
-      return;
-    }
-    // A poisoned batch: split and retry each half. The batched forward is
-    // bit-identical per item regardless of batch composition (see
-    // GenerateShadowBatch), so survivors' output is unchanged; cost is
-    // O(log n) extra forwards for the poisoned item's neighborhood.
-    stats_.AddBatchSplit();
-    const std::size_t mid = begin + n / 2;
-    GenerateShadowsBisect(items, indices, begin, mid, shadows, errors);
-    GenerateShadowsBisect(items, indices, mid, end, shadows, errors);
-  }
-}
-
-void SessionManager::HandleGenerationError(
-    Session* s, audio::Waveform chunk, SessionError error,
-    std::chrono::steady_clock::time_point ready) {
-  if (options_.fault.on_error == FaultPolicy::kDegrade) {
-    bool stepped = false;
-    {
-      std::lock_guard lock(s->mu);
-      if (!s->error.has_value() && s->level < DegradeLevel::kSilence) {
-        StepDownLocked(s);
-        stepped = true;
-      }
-    }
-    if (stepped) {
-      // Regenerate this very chunk at the lower rung — the stream loses
-      // no samples on a degrade transition.
-      ProcessOneChunk(s, chunk, ready);
-      return;
-    }
-  }
-  FaultSession(s, std::move(error), /*ends_strand=*/false);
-}
-
-void SessionManager::FaultSession(Session* s, SessionError error,
-                                  bool ends_strand) {
-  const SessionId id = s->id;
+void SessionManager::FaultSession(Session* s, SessionError error) {
+  const SessionId id = s->id;  // s may be released once `running` drops
   const ErrorCategory category = error.category;
   std::size_t shed = 0;
-  if (batcher_ != nullptr) {
-    // Pending chunks of the dead session must not land in (or stall) a
-    // later batch; items already dispatched are shed by RunBatch's
-    // disposition pass. Purged before `running` can drop below: once it
-    // does, the owner may release the session and a new one may reuse
-    // its address as a lane key.
-    shed += batcher_->Purge(s) * chunk_samples_;
-  }
   {
     std::lock_guard lock(s->mu);
     if (!s->error.has_value()) s->error = std::move(error);  // first wins
     ++s->fault_count;
-    shed += s->inbox.size();
+    shed = s->inbox.size();
     s->inbox.clear();
-    // A dispatcher leaves `running` to the strand (if any), which ends
-    // itself when it next sees the recorded error.
-    if (ends_strand) s->running = false;
+    s->running = false;
   }
   stats_.AddFault(category);
   stats_.AddSamplesDropped(shed);
@@ -634,17 +436,9 @@ void SessionManager::AbandonStrand(Session* s) {
   // eviction; the evicted task itself can no longer run.
   const SessionId id = s->id;  // s may be released once idle (below)
   std::size_t discarded = 0;
-  if (batcher_ != nullptr) {
-    // The session's already-popped chunks waiting in its batcher lane are
-    // part of the evicted backlog: purge them so none lands in a later
-    // batch (in-flight batch items complete normally). Done while
-    // `running` still holds the session, so its address is never used
-    // after it can be released (and reused by a new session).
-    discarded += batcher_->Purge(s) * chunk_samples_;
-  }
   {
     std::lock_guard lock(s->mu);
-    discarded += s->inbox.size();
+    discarded = s->inbox.size();
     s->inbox.clear();
     s->running = false;
   }
@@ -668,13 +462,8 @@ void SessionManager::FinishStrand() {
 }
 
 void SessionManager::Drain() {
-  {
-    std::unique_lock lock(drain_mu_);
-    drain_cv_.wait(lock, [&] { return in_flight_ == 0; });
-  }
-  // Once no strand is in flight (and the caller guarantees no concurrent
-  // Submit), nothing can Enqueue — wait out the batcher's backlog too.
-  if (batcher_ != nullptr) batcher_->Drain();
+  std::unique_lock lock(drain_mu_);
+  drain_cv_.wait(lock, [&] { return in_flight_ == 0; });
 }
 
 std::optional<audio::Waveform> SessionManager::Flush(SessionId id) {
@@ -756,7 +545,6 @@ void SessionManager::ResetSession(SessionId id) {
     s->consecutive_misses = 0;
     s->successes_at_level = 0;
   }
-  if (batcher_ != nullptr) batcher_->Purge(s);
   // Quiescent by contract, so the strand-owned processor is safe to touch
   // from here: fresh stream — empty buffer, modulation latch re-latches.
   s->proc.Reset();
@@ -765,14 +553,8 @@ void SessionManager::ResetSession(SessionId id) {
 
 bool SessionManager::SessionQuiescent(SessionId id) const {
   Session* s = GetSession(id);
-  {
-    std::lock_guard lock(s->mu);
-    if (s->running || !s->inbox.empty()) return false;
-  }
-  // Batched mode: the strand parks while popped chunks still sit in the
-  // session's batcher lane (or ride a running batch) — those mutate the
-  // processor when they complete, so the session is not quiescent yet.
-  return batcher_ == nullptr || batcher_->idle_for(s);
+  std::lock_guard lock(s->mu);
+  return !s->running && s->inbox.empty();
 }
 
 std::optional<SessionSnapshot> SessionManager::ExportSession(SessionId id) {
@@ -783,8 +565,6 @@ std::optional<SessionSnapshot> SessionManager::ExportSession(SessionId id) {
     NEC_CHECK_MSG(!s->running && s->inbox.empty(),
                   "ExportSession requires a quiescent session");
   }
-  NEC_CHECK_MSG(batcher_ == nullptr || batcher_->idle_for(s),
-                "ExportSession with chunks still in the batcher");
   // Quiescent by contract, so the strand-owned processor is safe to read.
   SessionSnapshot snapshot;
   const auto tail = s->proc.buffered_samples();
@@ -818,11 +598,6 @@ bool SessionManager::ReleaseSession(SessionId id) {
     std::lock_guard lock(s->mu);
     if (s->running) return false;
     discarded = s->inbox.size();
-  }
-  if (batcher_ != nullptr) {
-    std::size_t purged = 0;
-    if (!batcher_->Forget(s, &purged)) return false;
-    discarded += purged * chunk_samples_;
   }
   stats_.AddSamplesDropped(discarded);
   std::unique_ptr<Session> released;

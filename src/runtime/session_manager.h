@@ -9,47 +9,33 @@
 //
 // Concurrency model: per-session *strands* over a shared ThreadPool. Audio
 // submitted to a session lands in that session's inbox; at most one pool
-// task per session is in flight at any time, and it drains the inbox chunk
-// by chunk through the session's StreamingProcessor. Chunks of one session
+// task per session is in flight at any time. It takes the whole inbox,
+// runs every full chunk of it through the session's StreamingProcessor,
+// and then yields: if more input arrived meanwhile it re-posts itself to
+// the back of the pool queue, so a session fed as fast as it is served
+// cannot hold a worker while other sessions wait. Chunks of one session
 // therefore process strictly in submission order on a single logical
 // stream — per-session output is bit-identical to running the sequential
 // StreamingProcessor — while chunks of *different* sessions run in
-// parallel across the pool's workers.
+// parallel across the pool's workers. Every chunk takes the same
+// zero-allocation path: strand → ProcessOneChunk → GenerateShadowInto →
+// CompleteShadowChunkInto.
 //
 // Fault isolation (DESIGN.md §5f): every exception raised while processing
 // a session's audio is caught AT THE SESSION BOUNDARY. The session
 // transitions to SessionState::kFaulted with a recorded SessionError
 // (taxonomy in runtime/fault.h), sheds its backlog, and rejects further
 // Submits until ResetSession() — every other session keeps protecting its
-// room. A poisoned batch is bisected and retried in sub-batches so
-// one bad chunk never drops other sessions' output. Chunks that blow the
-// deadline budget (or fail transiently past the retry budget) can instead
-// step down a graceful-degradation ladder (neural → LAS → silence) with
-// automatic recovery probes back up — see Options::fault.
+// room. Chunks that blow the deadline budget (or fail transiently past the
+// retry budget) can instead step down a graceful-degradation ladder
+// (neural → LAS → silence) with automatic recovery probes back up — see
+// Options::fault.
 //
 // Lock discipline: Session::mu guards inbox/output/running plus the fault
 // and degradation state; the StreamingProcessor itself is touched only by
 // the session's single active strand task (hand-off between consecutive
 // strand tasks is ordered by Session::mu and the pool queue's mutex, so no
 // additional lock is needed). RuntimeStats is all-atomic.
-//
-// Continuous batching (Options::max_batch > 1, neural selector only):
-// strands stop running the selector themselves — they buffer samples, pop
-// ready chunks, and enqueue them on the ContinuousBatcher, which admits
-// them into the next batched forward as soon as a dispatch slot frees
-// (earliest deadline first across sessions, FIFO within a session — see
-// batcher.h). Options::workers dispatch threads run RunBatch concurrently
-// on DISJOINT session sets: the batcher claims a session's lane
-// exclusively while its chunks are in a running batch, so each session's
-// StreamingProcessor completion state is still touched by one thread at a
-// time and stream order — and with it the modulation-reference latch — is
-// exactly the sequential path's. In this mode a session's
-// StreamingProcessor is split between threads by member: the strand owns
-// the sample buffer, the owning dispatcher owns the STFT scratch /
-// modulation latch / timings — disjoint state, see streaming.h. Degraded
-// sessions' chunks still ride the lane FIFO but are generated singly by
-// the dispatcher that claimed the lane, so per-session completion order
-// is preserved across ladder transitions.
 #pragma once
 
 #include <chrono>
@@ -67,7 +53,6 @@
 #include "core/pipeline.h"
 #include "core/streaming.h"
 #include "encoder/encoder.h"
-#include "runtime/batcher.h"
 #include "runtime/fault.h"
 #include "runtime/stats.h"
 #include "runtime/thread_pool.h"
@@ -154,19 +139,9 @@ class SessionManager {
     /// Chunk duration per session (paper: 1 s, Table II).
     double chunk_s = 1.0;
     core::SelectorKind kind = core::SelectorKind::kNeural;
-
-    // --- Continuous batching (DESIGN.md §5e). max_batch = 1 disables the
-    // batcher and keeps the per-strand Push path. Batching applies to
-    // the neural selector only (the LAS ablation has no batched forward).
-    // When enabled, `workers` also sets the batcher's dispatch-thread
-    // count — the heavy compute moves off the pool strands onto the
-    // dispatchers, so `workers` keeps meaning "concurrent selector
-    // forwards" in both modes.
-    std::size_t max_batch = 1;
-    /// Per-chunk end-to-end budget (paper: ~300 ms overshadowing
-    /// tolerance). The batcher admits chunks earliest-deadline-first
-    /// against it, and the deadline watchdog (if enabled) judges chunk
-    /// processing time against it.
+    /// Per-chunk budget (paper: ~300 ms overshadowing tolerance). The
+    /// deadline watchdog (if enabled) judges chunk processing time
+    /// against it.
     double deadline_ms = 300.0;
 
     FaultOptions fault = {};  ///< containment / degradation / sanitization
@@ -257,9 +232,8 @@ class SessionManager {
   void ResetSession(SessionId id);
 
   /// True when the session can be exported right now: no strand in
-  /// flight, empty inbox, and (in batched mode) no chunks pending or in
-  /// a running batch. With no concurrent Submit for this session,
-  /// quiescence is stable once observed. Thread-safe.
+  /// flight and an empty inbox. With no concurrent Submit for this
+  /// session, quiescence is stable once observed. Thread-safe.
   bool SessionQuiescent(SessionId id) const;
 
   /// Exports the session's mid-stream state for migration. Requires
@@ -269,17 +243,25 @@ class SessionManager {
   /// ReleaseSession() afterwards to free it.
   std::optional<SessionSnapshot> ExportSession(SessionId id);
 
+  /// Checks a migrated snapshot's content before anything is built from
+  /// it: the modulation latch must be a finite non-negative peak and the
+  /// tail a partial chunk (< chunk_samples()); the tail then passes the
+  /// same Options::fault.bad_input hygiene as Submit (sanitized in place
+  /// or rejected). Returns the typed kBadInput error of a snapshot that
+  /// must not be restored. Thread-safe.
+  std::optional<SessionError> ScreenSnapshot(SessionSnapshot& snapshot);
+
   /// Installs a migrated snapshot onto a freshly created (never
   /// submitted-to) session, making its future output bit-identical to
-  /// the exporting session having continued. NEC_CHECKs freshness.
+  /// the exporting session having continued. NEC_CHECKs freshness; the
+  /// snapshot should have passed ScreenSnapshot.
   void RestoreSession(SessionId id, const SessionSnapshot& snapshot);
 
   /// Frees a finished session: its pipeline, STFT and arena scratch, and
-  /// output buffers. Returns false, changing nothing, while a strand or a
-  /// running batch is still inside the session — call again later.
-  /// Otherwise input not yet processed (inbox, chunks pending in the
-  /// batcher) is discarded and counted as dropped samples, untaken output
-  /// is discarded, and the session is freed. The id is never reused: it
+  /// output buffers. Returns false, changing nothing, while a strand is
+  /// still inside the session — call again later. Otherwise input not yet
+  /// processed (the inbox) is discarded and counted as dropped samples,
+  /// untaken output is discarded, and the session is freed. The id is never reused: it
   /// stays behind as a tombstone, so a later call naming it raises
   /// CheckError ("released") instead of touching freed memory, and the
   /// session count and SessionStatuses skip it.
@@ -304,9 +286,6 @@ class SessionManager {
   std::size_t workers() const { return pool_.workers(); }
   std::size_t chunk_samples() const { return chunk_samples_; }
 
-  /// True when ready chunks route through the continuous batcher.
-  bool batching_enabled() const { return batcher_ != nullptr; }
-
   /// Stops accepting strand dispatches, drains admitted ones, joins.
   void Shutdown();
 
@@ -329,11 +308,11 @@ class SessionManager {
     core::StreamingProcessor proc;  ///< strand-owned, see header comment
     const SessionId id;             ///< fault-injection key + status
 
-    /// Per-chunk reuse buffers for the Into hot path (popped chunk,
-    /// generated shadow, modulated output). Same exclusivity contract as
-    /// `proc`: touched only by the strand or the dispatcher holding the
-    /// session's lane, so steady-state chunks recycle their capacity
-    /// instead of allocating.
+    /// Per-chunk reuse buffers for the Into hot path (inbox take, popped
+    /// chunk, generated shadow, modulated output). Same exclusivity
+    /// contract as `proc`: touched only by the strand, so steady-state
+    /// chunks recycle their capacity instead of allocating.
+    std::vector<float> take;
     audio::Waveform chunk_buf, shadow_buf, mod_buf;
 
     std::mutex mu;
@@ -343,8 +322,8 @@ class SessionManager {
     /// Guarded by mu.
     std::uint64_t wire_flow = 0;
     /// When the inbox last went empty → non-empty: the arrival time of the
-    /// oldest unconsumed samples, feeding end-to-end latency accounting on
-    /// the unbatched path. Guarded by mu.
+    /// oldest unconsumed samples, feeding end-to-end latency accounting.
+    /// Guarded by mu.
     std::chrono::steady_clock::time_point inbox_since{};
     audio::Waveform output;    ///< guarded by mu
     /// When `output` last went empty → non-empty: production time of the
@@ -364,24 +343,25 @@ class SessionManager {
   };
 
   Session* GetSession(SessionId id) const;
+  /// Input hygiene shared by Submit and ScreenSnapshot: applies
+  /// Options::fault.bad_input to `samples`. Returns the kBadInput error of
+  /// a rejected span (`what` names it in the message); under kSanitize a
+  /// dirty span is repaired into `repaired` and `samples` rebound to it.
+  std::optional<SessionError> ScreenSamples(std::span<const float>& samples,
+                                            std::vector<float>& repaired,
+                                            const char* what);
   static runtime::SessionStatus StatusOf(Session* session);
   void RunStrand(Session* session);
-  void RunStrandBatched(Session* session);
-  /// Batch callback; up to Options::workers run concurrently, always on
-  /// disjoint session sets (lane exclusivity, see batcher.h).
-  void RunBatch(std::vector<ContinuousBatcher::Item>&& items);
   void AbandonStrand(Session* session);
   void BeginStrand();
   void FinishStrand();
 
   /// Generates + completes one chunk at the session's current rung, with
   /// retry/backoff, the deadline watchdog, and recovery probes. `ready` is
-  /// when the chunk became processable (inbox arrival / batcher enqueue)
-  /// and anchors the end-to-end latency record. `flow` (0 = none) links
-  /// the chunk's shard.compute span and flow-end back to a remote
-  /// sender's trace. Returns false iff the session faulted. Runs on the
-  /// strand (unbatched) or the owning dispatch thread (batched,
-  /// degraded/poisoned items).
+  /// when the chunk became processable (inbox arrival) and anchors the
+  /// end-to-end latency record. `flow` (0 = none) links the chunk's
+  /// shard.compute span and flow-end back to a remote sender's trace.
+  /// Returns false iff the session faulted. Runs on the session's strand.
   bool ProcessOneChunk(Session* session, const audio::Waveform& chunk,
                        std::chrono::steady_clock::time_point ready,
                        std::uint64_t flow = 0);
@@ -390,26 +370,9 @@ class SessionManager {
   void GenerateShadowAtLevelInto(Session* session,
                                  const audio::Waveform& chunk,
                                  DegradeLevel level, audio::Waveform& out);
-  /// Batched forward over [begin, end) with bisection: a sub-batch that
-  /// throws is split until the poisoned item is isolated; its slot gets an
-  /// error instead of a shadow, every other slot completes normally.
-  void GenerateShadowsBisect(
-      std::vector<ContinuousBatcher::Item>& items,
-      const std::vector<std::size_t>& indices, std::size_t begin,
-      std::size_t end, std::vector<std::optional<audio::Waveform>>& shadows,
-      std::vector<std::optional<SessionError>>& errors);
-
-  /// Applies the on_error policy to a chunk whose batched generation
-  /// failed: step down the ladder and regenerate singly (kDegrade, so the
-  /// stream loses no samples), or fault the session.
-  void HandleGenerationError(Session* session, audio::Waveform chunk,
-                             SessionError error,
-                             std::chrono::steady_clock::time_point ready);
-  /// Records the fault and sheds the session's backlog (inbox + pending
-  /// batcher items). `ends_strand`: the caller is the session's strand,
-  /// which returns right after, so `running` drops here; a dispatcher
-  /// passes false and a strand in flight ends itself on seeing the error.
-  void FaultSession(Session* session, SessionError error, bool ends_strand);
+  /// Records the fault, sheds the session's inbox, and ends its strand
+  /// (the caller is the strand, which returns right after).
+  void FaultSession(Session* session, SessionError error);
   /// Ladder step-down with stats. Caller holds session->mu.
   void StepDownLocked(Session* session);
   /// Watchdog bookkeeping after a successfully emitted chunk. Caller
@@ -435,12 +398,6 @@ class SessionManager {
   std::size_t in_flight_ = 0;  ///< active strands; guarded by drain_mu_
 
   RuntimeStats stats_;
-  /// Non-null iff Options::max_batch > 1 and the selector is neural.
-  /// Declared before pool_: workers Enqueue into the batcher, and the
-  /// batcher callbacks touch sessions/stats — Shutdown() stops the pool
-  /// first, then the batcher, and destruction runs in the reverse of
-  /// declaration so both are torn down before the state they touch.
-  std::unique_ptr<ContinuousBatcher> batcher_;
   ThreadPool pool_;  ///< last member: workers die before state above
 };
 

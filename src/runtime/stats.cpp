@@ -111,17 +111,6 @@ void LatencyHistogram::Reset() {
   sum_us_.store(0, std::memory_order_relaxed);
 }
 
-void RuntimeStats::AddBatch(std::size_t batch_size) {
-  batches_.fetch_add(1, kRelaxed);
-  batched_chunks_.fetch_add(batch_size, kRelaxed);
-  batch_size_counts_[std::min(batch_size, kMaxTrackedBatch)].fetch_add(
-      1, kRelaxed);
-  std::uint64_t seen = max_batch_.load(kRelaxed);
-  while (batch_size > seen &&
-         !max_batch_.compare_exchange_weak(seen, batch_size, kRelaxed)) {
-  }
-}
-
 RuntimeStatsSnapshot RuntimeStats::Snapshot(const PoolSample& pool) const {
   RuntimeStatsSnapshot s;
   s.sessions = sessions_.load(kRelaxed);
@@ -147,24 +136,10 @@ RuntimeStatsSnapshot RuntimeStats::Snapshot(const PoolSample& pool) const {
   s.degrade_steps_down = degrade_down_.load(kRelaxed);
   s.degrade_steps_up = degrade_up_.load(kRelaxed);
   s.chunk_retries = retries_.load(kRelaxed);
-  s.batch_splits = batch_splits_.load(kRelaxed);
   s.samples_sanitized = sanitized_.load(kRelaxed);
   s.bad_input_rejections = bad_input_.load(kRelaxed);
   s.session_resets = resets_.load(kRelaxed);
 
-  s.batches_dispatched = batches_.load(kRelaxed);
-  s.batched_chunks = batched_chunks_.load(kRelaxed);
-  s.max_batch_size = max_batch_.load(kRelaxed);
-  s.avg_batch_size =
-      s.batches_dispatched
-          ? static_cast<double>(s.batched_chunks) /
-                static_cast<double>(s.batches_dispatched)
-          : 0.0;
-  for (std::size_t i = 0; i <= kMaxTrackedBatch; ++i) {
-    s.batch_size_counts[i] = batch_size_counts_[i].load(kRelaxed);
-  }
-  s.queue_wait = queue_wait_.Quantiles();
-  s.queue_wait_hist = queue_wait_.Buckets();
   return s;
 }
 

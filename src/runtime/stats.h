@@ -122,10 +122,6 @@ class HopStats {
   std::array<LatencyHistogram, kNumHops> hops_;
 };
 
-/// Largest batch size tracked exactly by the batch-size histogram; larger
-/// batches fold into the last bucket.
-inline constexpr std::size_t kMaxTrackedBatch = 32;
-
 /// One coherent view of the runtime, cheap enough to print every second.
 struct RuntimeStatsSnapshot {
   std::uint64_t sessions = 0;          ///< sessions created
@@ -138,25 +134,13 @@ struct RuntimeStatsSnapshot {
   std::size_t queue_depth = 0;  ///< pool queue depth at snapshot time
   LatencyQuantiles chunk_latency;  ///< per-chunk selector+broadcast wall ms
   HistogramSnapshot chunk_latency_hist;  ///< full buckets behind ^
-  /// End-to-end per-chunk latency: ready (inbox arrival / batcher
-  /// enqueue) → completion, queue wait INCLUDED. This is the honest
+  /// End-to-end per-chunk latency: ready (inbox arrival) → completion,
+  /// queue wait INCLUDED. This is the honest
   /// number to judge the 300 ms deadline against — `chunk_latency` above
   /// is processing time only and can report a healthy p99 while chunks
   /// rot in a queue for seconds.
   LatencyQuantiles e2e_latency;
   HistogramSnapshot e2e_latency_hist;  ///< full buckets behind ^
-
-  // --- Micro-batching (zero everywhere when batching is off).
-  std::uint64_t batches_dispatched = 0;  ///< InferBatch calls issued
-  std::uint64_t batched_chunks = 0;      ///< chunks served via a batch
-  std::uint64_t max_batch_size = 0;
-  double avg_batch_size = 0.0;
-  /// size_counts[s] = batches of size s (s > kMaxTrackedBatch folds into
-  /// the last bucket; index 0 is unused).
-  std::array<std::uint64_t, kMaxTrackedBatch + 1> batch_size_counts{};
-  /// Coalescer queue wait per chunk: enqueue → batch dispatch.
-  LatencyQuantiles queue_wait;
-  HistogramSnapshot queue_wait_hist;  ///< full buckets behind ^
 
   // --- Fault tolerance (DESIGN.md §5f; zero everywhere on a clean run).
   std::uint64_t faults = 0;  ///< sessions transitioned to kFaulted
@@ -166,7 +150,6 @@ struct RuntimeStatsSnapshot {
   std::uint64_t degrade_steps_down = 0;  ///< ladder demotions
   std::uint64_t degrade_steps_up = 0;    ///< recovery-probe promotions
   std::uint64_t chunk_retries = 0;     ///< transient-failure chunk retries
-  std::uint64_t batch_splits = 0;      ///< poisoned-batch bisections
   std::uint64_t samples_sanitized = 0;  ///< NaN/Inf/wild samples repaired
   std::uint64_t bad_input_rejections = 0;  ///< Submits bounced (kReject)
   std::uint64_t session_resets = 0;    ///< ResetSession() calls
@@ -204,12 +187,6 @@ class RuntimeStats {
     samples_dropped_.fetch_add(n, kRelaxed);
   }
 
-  /// One coalesced InferBatch dispatch of `batch_size` chunks.
-  void AddBatch(std::size_t batch_size);
-
-  /// Time one chunk sat in the coalescer before its batch dispatched.
-  void AddQueueWait(double ms) { queue_wait_.Record(ms); }
-
   // --- Fault tolerance.
   void AddFault(ErrorCategory category) {
     faults_[static_cast<std::size_t>(category)].fetch_add(1, kRelaxed);
@@ -218,7 +195,6 @@ class RuntimeStats {
   void AddDegradeDown() { degrade_down_.fetch_add(1, kRelaxed); }
   void AddDegradeUp() { degrade_up_.fetch_add(1, kRelaxed); }
   void AddRetry() { retries_.fetch_add(1, kRelaxed); }
-  void AddBatchSplit() { batch_splits_.fetch_add(1, kRelaxed); }
   void AddSanitized(std::uint64_t n) {
     if (n > 0) sanitized_.fetch_add(n, kRelaxed);
   }
@@ -241,19 +217,11 @@ class RuntimeStats {
   LatencyHistogram latency_;
   LatencyHistogram e2e_latency_;
 
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batched_chunks_{0};
-  std::atomic<std::uint64_t> max_batch_{0};
-  std::array<std::atomic<std::uint64_t>, kMaxTrackedBatch + 1>
-      batch_size_counts_{};
-  LatencyHistogram queue_wait_;
-
   std::array<std::atomic<std::uint64_t>, kNumErrorCategories> faults_{};
   std::atomic<std::uint64_t> deadline_misses_{0};
   std::atomic<std::uint64_t> degrade_down_{0};
   std::atomic<std::uint64_t> degrade_up_{0};
   std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> batch_splits_{0};
   std::atomic<std::uint64_t> sanitized_{0};
   std::atomic<std::uint64_t> bad_input_{0};
   std::atomic<std::uint64_t> resets_{0};

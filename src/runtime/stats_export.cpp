@@ -175,23 +175,6 @@ std::vector<obs::MetricFamily> SnapshotToMetricFamilies(
       "included — judge the deadline against this",
       s.e2e_latency_hist));
 
-  // --- Continuous batching.
-  out.push_back(MakeCounter("nec_batches_dispatched_total",
-                            "Batched InferBatch calls issued",
-                            static_cast<double>(s.batches_dispatched)));
-  out.push_back(MakeCounter("nec_batched_chunks_total",
-                            "Chunks served via a batched forward",
-                            static_cast<double>(s.batched_chunks)));
-  out.push_back(MakeGauge("nec_max_batch_size",
-                          "Largest batch dispatched so far",
-                          static_cast<double>(s.max_batch_size)));
-  out.push_back(MakeGauge("nec_avg_batch_size",
-                          "Mean chunks per dispatched batch",
-                          s.avg_batch_size));
-  out.push_back(MakeHistogram("nec_queue_wait_seconds",
-                              "Batcher wait: enqueue to batch dispatch",
-                              s.queue_wait_hist));
-
   // --- Fault tolerance. One family, one sample per category label.
   {
     obs::MetricFamily faults;
@@ -219,9 +202,6 @@ std::vector<obs::MetricFamily> SnapshotToMetricFamilies(
   out.push_back(MakeCounter("nec_chunk_retries_total",
                             "Transient-failure chunk retries",
                             static_cast<double>(s.chunk_retries)));
-  out.push_back(MakeCounter("nec_batch_splits_total",
-                            "Poisoned-batch bisections",
-                            static_cast<double>(s.batch_splits)));
   out.push_back(MakeCounter("nec_samples_sanitized_total",
                             "NaN/Inf/wild samples repaired at Submit",
                             static_cast<double>(s.samples_sanitized)));

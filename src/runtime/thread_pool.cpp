@@ -30,6 +30,12 @@ bool ThreadPool::Submit(std::function<void()> task,
   return admitted;
 }
 
+bool ThreadPool::TrySubmit(std::function<void()> task,
+                           std::function<void()> on_drop) {
+  NEC_CHECK(task != nullptr);
+  return queue_.TryPush(Task{std::move(task), std::move(on_drop)});
+}
+
 void ThreadPool::Shutdown() {
   queue_.Close();
   for (auto& t : threads_) {

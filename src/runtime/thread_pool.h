@@ -61,6 +61,13 @@ class ThreadPool {
   bool Submit(std::function<void()> task,
               std::function<void()> on_drop = nullptr);
 
+  /// Submit that never blocks and never evicts, whatever the policy:
+  /// returns false, running nothing, when the queue is full or shut down.
+  /// Safe from a worker thread under every policy. An admitted task can
+  /// still be evicted later by a kDropOldest Submit (`on_drop` fires).
+  bool TrySubmit(std::function<void()> task,
+                 std::function<void()> on_drop = nullptr);
+
   /// Closes the queue, lets the workers drain every admitted task, and
   /// joins them. Idempotent; implicitly called by the destructor.
   void Shutdown();

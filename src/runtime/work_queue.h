@@ -85,6 +85,22 @@ class WorkQueue {
     return true;
   }
 
+  /// Enqueues an item only if there is room right now: never blocks and
+  /// never evicts, whatever the policy. Returns false (item dropped) when
+  /// the queue is full or closed; a full-queue refusal is not counted as
+  /// a rejection — the caller has a fallback, nothing was shed.
+  bool TryPush(T item) {
+    {
+      std::lock_guard lock(mu_);
+      if (closed_ || items_.size() >= capacity_) return false;
+      items_.push_back(std::move(item));
+      ++pushed_;
+      if (items_.size() > peak_) peak_ = items_.size();
+    }
+    not_empty_.notify_one();
+    return true;
+  }
+
   /// Blocks until an item is available or the queue is closed *and*
   /// drained; nullopt only in the latter case, so consumers process every
   /// admitted item before shutting down (graceful drain).

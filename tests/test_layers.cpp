@@ -354,132 +354,47 @@ TEST(LayerNorm, RejectsWrongFeatureDim) {
   EXPECT_THROW(ln.Forward(Tensor::Randn({3, 5}, rng, 1.0f)), CheckError);
 }
 
-// ------------------------------------------------------- batched inference
+// ------------------------------------------------------- const inference
 //
-// InferBatch must be bit-identical, per item, to slicing the batch and
-// calling Infer item by item — the contract runtime micro-batching builds
-// on (layers.h). Randomized inputs, batch sizes 1 / 2 / 7.
+// Infer is the const, cache-free path that concurrent sessions run on
+// shared weights (layers.h); it must match the training path to the bit.
 
-Tensor RandomBatch(const std::vector<std::size_t>& item_shape,
-                   std::size_t batch, std::uint64_t seed) {
-  std::vector<std::size_t> shape;
-  shape.push_back(batch);
-  shape.insert(shape.end(), item_shape.begin(), item_shape.end());
-  Rng rng(seed);
-  return Tensor::Randn(shape, rng, 1.0f);
-}
-
-Tensor SliceItem(const Tensor& batch, std::size_t b) {
-  const std::vector<std::size_t> item_shape(batch.shape().begin() + 1,
-                                            batch.shape().end());
-  Tensor item(item_shape);
-  std::copy(batch.data() + b * item.numel(),
-            batch.data() + (b + 1) * item.numel(), item.data());
-  return item;
-}
-
-void ExpectBatchedMatchesLooped(const Layer& layer,
-                                const std::vector<std::size_t>& item_shape,
-                                std::uint64_t seed) {
-  for (const std::size_t b : {1u, 2u, 7u}) {
-    const Tensor batch = RandomBatch(item_shape, b, seed + b);
-    const Tensor out = layer.InferBatch(batch);
-    ASSERT_EQ(out.dim(0), b);
-    std::size_t off = 0;
-    for (std::size_t i = 0; i < b; ++i) {
-      const Tensor one = layer.Infer(SliceItem(batch, i));
-      for (std::size_t j = 0; j < one.numel(); ++j, ++off) {
-        ASSERT_EQ(out[off], one[j])
-            << layer.Name() << " batch=" << b << " item=" << i
-            << " elem=" << j;
-      }
-    }
-    ASSERT_EQ(off, out.numel());
-  }
-}
-
-TEST(InferBatch, Conv2DBitExactVsLoopedInfer) {
-  Rng rng(70);
-  Conv2D plain(2, 3, 3, 3, 1, 1, rng);
-  ExpectBatchedMatchesLooped(plain, {2, 6, 5}, 700);
-  Conv2D dilated(3, 2, 5, 1, 4, 1, rng);  // selector-style time dilation
-  ExpectBatchedMatchesLooped(dilated, {3, 12, 7}, 701);
-  Conv2D wide(1, 4, 1, 7, 1, 1, rng);
-  ExpectBatchedMatchesLooped(wide, {1, 4, 11}, 702);
-}
-
-TEST(InferBatch, LinearBitExactVsLoopedInfer) {
-  Rng rng(71);
-  Linear fc(9, 4, rng);
-  ExpectBatchedMatchesLooped(fc, {5, 9}, 710);
-  Linear single(3, 6, rng);
-  ExpectBatchedMatchesLooped(single, {1, 3}, 711);
-}
-
-TEST(InferBatch, ActivationsBitExactVsLoopedInfer) {
-  ExpectBatchedMatchesLooped(ReLU(), {3, 4, 5}, 720);
-  ExpectBatchedMatchesLooped(Sigmoid(), {2, 9}, 721);
-  ExpectBatchedMatchesLooped(Tanh(), {6, 7}, 722);
-}
-
-TEST(InferBatch, LayerNormBitExactVsLoopedInfer) {
-  Rng rng(73);
-  LayerNorm ln(8);
-  ln.gain().value = Tensor::Randn({8}, rng, 0.5f);
-  ln.bias().value = Tensor::Randn({8}, rng, 0.5f);
-  ExpectBatchedMatchesLooped(ln, {4, 8}, 730);
-}
-
-TEST(InferBatch, MatchesForwardBitExact) {
-  // Batched path vs the training path: same ComputeInto kernel, so the two
-  // must agree to the bit (rules out FMA-contraction divergence between
-  // codegen of the two call sites).
+TEST(Infer, MatchesForwardBitExact) {
+  // Same ComputeInto kernel on both paths, so they must agree to the bit
+  // (rules out FMA-contraction divergence between codegen of the two call
+  // sites).
   Rng rng(74);
   Conv2D conv(2, 2, 3, 3, 2, 1, rng);
-  const Tensor batch = RandomBatch({2, 5, 6}, 3, 740);
-  const Tensor out = conv.InferBatch(batch);
-  std::size_t off = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    const Tensor fwd = conv.Forward(SliceItem(batch, i));
-    for (std::size_t j = 0; j < fwd.numel(); ++j, ++off) {
-      ASSERT_EQ(out[off], fwd[j]);
-    }
+  const Tensor in = Tensor::Randn({2, 5, 6}, rng, 1.0f);
+  const Tensor inferred = conv.Infer(in);
+  const Tensor fwd = conv.Forward(in);
+  ASSERT_EQ(inferred.numel(), fwd.numel());
+  for (std::size_t j = 0; j < fwd.numel(); ++j) {
+    ASSERT_EQ(inferred[j], fwd[j]) << "elem=" << j;
   }
 }
 
-TEST(InferBatch, RejectsMissingBatchDim) {
-  Rng rng(75);
-  Conv2D conv(2, 2, 3, 3, 1, 1, rng);
-  EXPECT_THROW(conv.InferBatch(Tensor::Randn({2, 4, 4}, rng, 1.0f)),
-               CheckError);
-  Linear fc(4, 2, rng);
-  EXPECT_THROW(fc.InferBatch(Tensor::Randn({3, 4}, rng, 1.0f)), CheckError);
-}
-
-TEST(InferBatch, LstmKeepsThrowingDefault) {
-  Rng rng(76);
-  Lstm lstm(2, 3, rng);
-  EXPECT_THROW(lstm.Infer(Tensor({4, 2})), CheckError);
-  EXPECT_THROW(lstm.InferBatch(Tensor({2, 4, 2})), CheckError);
-}
-
-TEST(InferBatch, SequentialChains) {
+TEST(Infer, SequentialChainsMatchForward) {
   Rng rng(77);
   Sequential seq;
   seq.Add(std::make_unique<Linear>(5, 8, rng));
   seq.Add(std::make_unique<Tanh>());
   seq.Add(std::make_unique<LayerNorm>(8));
   seq.Add(std::make_unique<Linear>(8, 2, rng));
+  const Tensor in = Tensor::Randn({3, 5}, rng, 1.0f);
   const Sequential& shared = seq;
-  const Tensor batch = RandomBatch({3, 5}, 4, 770);
-  const Tensor out = shared.InferBatch(batch);
-  std::size_t off = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const Tensor one = shared.Infer(SliceItem(batch, i));
-    for (std::size_t j = 0; j < one.numel(); ++j, ++off) {
-      ASSERT_EQ(out[off], one[j]);
-    }
+  const Tensor inferred = shared.Infer(in);
+  const Tensor fwd = seq.Forward(in);
+  ASSERT_EQ(inferred.numel(), fwd.numel());
+  for (std::size_t j = 0; j < fwd.numel(); ++j) {
+    ASSERT_EQ(inferred[j], fwd[j]) << "elem=" << j;
   }
+}
+
+TEST(Infer, LstmKeepsThrowingDefault) {
+  Rng rng(76);
+  Lstm lstm(2, 3, rng);
+  EXPECT_THROW(lstm.Infer(Tensor({4, 2})), CheckError);
 }
 
 // ------------------------------------------------------------- MAC audits

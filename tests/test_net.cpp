@@ -13,10 +13,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -850,6 +853,128 @@ Frame MakeHello() {
   PutU32(&hello.payload, kProtocolVersion);
   PutU32(&hello.payload, kProtocolVersion);
   return hello;
+}
+
+/// Sends a kRestoreSession frame on a client's socket, as a router does
+/// when it migrates a session onto this shard.
+bool SendRestore(NetClient& client, std::uint64_t wire_sid, double latch,
+                 std::vector<float> tail) {
+  SessionSnapshotPayload snap;
+  snap.speaker_seed = 42;
+  snap.ref_seed = 43;
+  snap.chunks_done = 1;
+  snap.latch_bits = std::bit_cast<std::uint64_t>(latch);
+  snap.tail = std::move(tail);
+  Frame frame;
+  frame.type = FrameType::kRestoreSession;
+  frame.session_id = wire_sid;
+  PutSessionSnapshot(&frame.payload, snap);
+  return SendRawFrame(client.fd(), frame);
+}
+
+TEST(NetServerE2E, RestoreSessionChecksSnapshotContent) {
+  // A migrated snapshot crosses a trust boundary: each bad field gets a
+  // typed error frame instead of being installed, the connection stays
+  // usable, and a NaN tail is sanitized like Submit input, so the
+  // restored stream still emits finite ultrasound.
+  SharedModel model;
+  runtime::SessionManager manager(model.selector, model.encoder, {},
+                                  model.ManagerOptions());
+  NetServer server(&manager, {});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), 2000, &error))
+      << error;
+  HelloInfo hello;
+  ASSERT_TRUE(client.Hello(&hello, 5000, &error)) << error;
+  const std::size_t chunk_samples = hello.chunk_samples;
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<float> tail(100, 0.1f);
+  struct BadCase {
+    double latch;
+    std::size_t tail_samples;
+  };
+  const BadCase bad[] = {{std::nan(""), tail.size()},
+                         {inf, tail.size()},
+                         {-inf, tail.size()},
+                         {-0.5, tail.size()},
+                         {0.5, chunk_samples}};
+  std::uint64_t sid = 1;
+  for (const BadCase& c : bad) {
+    ASSERT_TRUE(SendRestore(client, sid, c.latch,
+                            std::vector<float>(c.tail_samples, 0.1f)));
+    ASSERT_TRUE(client.WaitDone(sid, 10000, &error)) << error;
+    const WireSessionState& state = client.session(sid);
+    ASSERT_TRUE(state.error.has_value()) << "case " << sid;
+    EXPECT_EQ(state.error->category,
+              static_cast<std::uint32_t>(runtime::ErrorCategory::kBadInput))
+        << state.error->message;
+    EXPECT_FALSE(state.open_acked);
+    ++sid;
+  }
+  EXPECT_EQ(manager.num_sessions(), 0u);  // nothing was enrolled
+
+  // Same connection: a NaN-laced tail under the default kSanitize policy
+  // restores, and the completed chunk modulates to finite samples.
+  std::vector<float> dirty = tail;
+  dirty[3] = std::nanf("");
+  dirty[50] = std::numeric_limits<float>::infinity();
+  ASSERT_TRUE(SendRestore(client, sid, 0.5, dirty));
+  const std::vector<float> stream = MakeStream(42, 99, 1.0);
+  ASSERT_TRUE(client.SubmitChunk(
+      sid,
+      std::span<const float>(stream.data(), chunk_samples - dirty.size()),
+      &error))
+      << error;
+  ASSERT_TRUE(client.SendCloseSession(sid, &error)) << error;
+  ASSERT_TRUE(client.WaitDone(sid, 60000, &error)) << error;
+  const WireSessionState& state = client.session(sid);
+  ASSERT_TRUE(state.open_acked);
+  ASSERT_FALSE(state.error.has_value()) << state.error->message;
+  ASSERT_TRUE(state.closed);
+  ASSERT_GE(state.shadow.size(), hello.output_samples_per_chunk);
+  for (const float v : state.shadow) ASSERT_TRUE(std::isfinite(v));
+  EXPECT_EQ(manager.Stats().samples_sanitized, 2u);
+  EXPECT_EQ(server.StatsSnapshot().protocol_errors, std::size(bad));
+  server.Stop();
+}
+
+TEST(NetServerE2E, RestoreSessionTailFollowsRejectPolicy) {
+  // Under kReject the tail gets Submit's verdict: a typed kBadInput error
+  // frame, nothing enrolled, the connection still serving.
+  SharedModel model;
+  runtime::SessionManager::Options options = model.ManagerOptions();
+  options.fault.bad_input = runtime::BadInputPolicy::kReject;
+  runtime::SessionManager manager(model.selector, model.encoder, {},
+                                  options);
+  NetServer server(&manager, {});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), 2000, &error))
+      << error;
+  HelloInfo hello;
+  ASSERT_TRUE(client.Hello(&hello, 5000, &error)) << error;
+
+  std::vector<float> dirty(100, 0.1f);
+  dirty[7] = std::nanf("");
+  ASSERT_TRUE(SendRestore(client, 1, 0.5, dirty));
+  ASSERT_TRUE(client.WaitDone(1, 10000, &error)) << error;
+  ASSERT_TRUE(client.session(1).error.has_value());
+  EXPECT_EQ(client.session(1).error->category,
+            static_cast<std::uint32_t>(runtime::ErrorCategory::kBadInput));
+  EXPECT_EQ(manager.Stats().bad_input_rejections, 1u);
+  EXPECT_EQ(manager.num_sessions(), 0u);
+
+  ASSERT_TRUE(SendRestore(client, 2, 0.5, std::vector<float>(100, 0.1f)));
+  ASSERT_TRUE(client.SendCloseSession(2, &error)) << error;
+  ASSERT_TRUE(client.WaitDone(2, 60000, &error)) << error;
+  EXPECT_TRUE(client.session(2).open_acked);
+  EXPECT_TRUE(client.session(2).closed);
+  EXPECT_FALSE(client.session(2).error.has_value());
+  server.Stop();
 }
 
 TEST(NetAuthE2E, GoodSecretRoundTripsBitIdentically) {

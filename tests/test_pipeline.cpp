@@ -127,70 +127,5 @@ TEST_F(PipelineTest, EncoderSelectorDimMismatchRejected) {
   EXPECT_THROW(NecPipeline(Selector(cfg_, 3), enc40, {}), nec::CheckError);
 }
 
-TEST_F(PipelineTest, GenerateShadowBatchMatchesPerItemBitExact) {
-  // Sessions sharing one weight set (the runtime path) get coalesced into
-  // one batched selector forward; each session's shadow must keep the exact
-  // bits of its solo GenerateShadow.
-  auto shared = std::make_shared<const Selector>(Selector(cfg_, 7));
-  std::vector<std::unique_ptr<NecPipeline>> pipes;
-  std::vector<audio::Waveform> chunks;
-  for (std::size_t i = 0; i < 3; ++i) {
-    pipes.push_back(std::make_unique<NecPipeline>(shared, encoder_));
-    pipes.back()->Enroll(
-        builder_.MakeReferenceAudios(spks_[i % 2], 3, 40 + i));
-    chunks.push_back(builder_
-                         .MakeInstance(spks_[i % 2],
-                                       synth::Scenario::kJointConversation,
-                                       50 + i, &spks_[(i + 1) % 2])
-                         .mixed);
-  }
-  std::vector<ShadowBatchRequest> reqs;
-  for (std::size_t i = 0; i < 3; ++i) {
-    reqs.push_back({.pipeline = pipes[i].get(), .mixed = &chunks[i]});
-  }
-  const std::vector<audio::Waveform> batched = GenerateShadowBatch(reqs);
-  ASSERT_EQ(batched.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const audio::Waveform solo = pipes[i]->GenerateShadow(chunks[i]);
-    ASSERT_EQ(batched[i].size(), solo.size());
-    for (std::size_t j = 0; j < solo.size(); ++j) {
-      ASSERT_EQ(batched[i].samples()[j], solo.samples()[j])
-          << "item=" << i << " sample=" << j;
-    }
-  }
-}
-
-TEST_F(PipelineTest, GenerateShadowBatchRejectsBadBatches) {
-  auto shared = std::make_shared<const Selector>(Selector(cfg_, 7));
-  NecPipeline a(shared, encoder_);
-  NecPipeline other(Selector(cfg_, 8), encoder_);  // different weight set
-  a.Enroll(builder_.MakeReferenceAudios(spks_[0], 3, 60));
-  other.Enroll(builder_.MakeReferenceAudios(spks_[0], 3, 61));
-  const auto inst = builder_.MakeInstance(
-      spks_[0], synth::Scenario::kJointConversation, 62, &spks_[1]);
-  const audio::Waveform& chunk = inst.mixed;
-  const audio::Waveform shorter = chunk.Slice(0, chunk.size() / 2);
-
-  EXPECT_THROW(GenerateShadowBatch({}), nec::CheckError);
-  {
-    std::vector<ShadowBatchRequest> reqs{
-        {.pipeline = &a, .mixed = &chunk},
-        {.pipeline = &other, .mixed = &chunk}};
-    EXPECT_THROW(GenerateShadowBatch(reqs), nec::CheckError);
-  }
-  {
-    std::vector<ShadowBatchRequest> reqs{
-        {.pipeline = &a, .mixed = &chunk},
-        {.pipeline = &a, .mixed = &shorter}};
-    EXPECT_THROW(GenerateShadowBatch(reqs), nec::CheckError);
-  }
-  {
-    NecPipeline unenrolled(shared, encoder_);
-    std::vector<ShadowBatchRequest> reqs{
-        {.pipeline = &unenrolled, .mixed = &chunk}};
-    EXPECT_THROW(GenerateShadowBatch(reqs), nec::CheckError);
-  }
-}
-
 }  // namespace
 }  // namespace nec::core

@@ -14,7 +14,6 @@
 
 #include "common/check.h"
 #include "core/streaming.h"
-#include "runtime/batcher.h"
 #include "runtime/fault.h"
 #include "runtime/session_manager.h"
 #include "runtime/stats.h"
@@ -344,49 +343,44 @@ TEST_F(SessionManagerTest, SharedWeightsAreActuallyShared) {
 TEST_F(SessionManagerTest, ReleasedSessionsAreFreedAndTombstoned) {
   // 200 open/close cycles on one manager leave no live session behind;
   // every 25th session streams a chunk and a flush tail before closing.
-  // The batched manager runs the same cycle with its lanes in play.
   const auto spk = synth::SpeakerProfile::FromSeed(21);
   const auto refs = builder_.MakeReferenceAudios(spk, 3, 22);
   const audio::Waveform stream = builder_.MakeUtterance(spk, 23).wave;
-  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
-    SessionManager manager(selector_, encoder_, {},
-                           {.workers = 2, .max_batch = max_batch});
-    const std::size_t cycles = max_batch == 1 ? 200 : 8;
-    SessionManager::SessionId last = 0;
-    for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
-      const auto id = manager.CreateSession(refs);
-      if (cycle > 0) {
-        EXPECT_EQ(id, last + 1);  // ids are never reused
-      }
-      last = id;
-      EXPECT_EQ(manager.num_sessions(), 1u);
-      if (cycle % 25 == 0 || max_batch > 1) {
-        ASSERT_TRUE(manager.Submit(id, stream.samples()).ok());
-        manager.Drain();
-        const auto tail = manager.Flush(id);
-        EXPECT_TRUE(tail.has_value());
-        EXPECT_GT(manager.TakeOutput(id).size(), 0u);
-      }
-      ASSERT_TRUE(manager.SessionQuiescent(id));
-      ASSERT_TRUE(manager.ReleaseSession(id));
-      EXPECT_EQ(manager.num_sessions(), 0u);
-      EXPECT_TRUE(manager.SessionStatuses().empty());
+  SessionManager manager(selector_, encoder_, {}, {.workers = 2});
+  SessionManager::SessionId last = 0;
+  for (std::size_t cycle = 0; cycle < 200; ++cycle) {
+    const auto id = manager.CreateSession(refs);
+    if (cycle > 0) {
+      EXPECT_EQ(id, last + 1);  // ids are never reused
     }
-    EXPECT_EQ(SessionsJson(manager), "{\"sessions\":[]}");
-    // A released id is a typed error on every call, never freed memory.
-    EXPECT_THROW(manager.Submit(last, stream.samples()), nec::CheckError);
-    EXPECT_THROW(manager.SessionStatus(last), nec::CheckError);
-    EXPECT_THROW(manager.TakeOutput(last), nec::CheckError);
-    EXPECT_THROW(static_cast<void>(manager.ReleaseSession(last)),
-                 nec::CheckError);
-
-    const auto live = manager.CreateSession(refs);
-    const auto statuses = manager.SessionStatuses();
-    ASSERT_EQ(statuses.size(), 1u);
-    EXPECT_EQ(statuses[0].first, live);
-    EXPECT_NE(SessionsJson(manager).find("\"id\":" + std::to_string(live)),
-              std::string::npos);
+    last = id;
+    EXPECT_EQ(manager.num_sessions(), 1u);
+    if (cycle % 25 == 0) {
+      ASSERT_TRUE(manager.Submit(id, stream.samples()).ok());
+      manager.Drain();
+      const auto tail = manager.Flush(id);
+      EXPECT_TRUE(tail.has_value());
+      EXPECT_GT(manager.TakeOutput(id).size(), 0u);
+    }
+    ASSERT_TRUE(manager.SessionQuiescent(id));
+    ASSERT_TRUE(manager.ReleaseSession(id));
+    EXPECT_EQ(manager.num_sessions(), 0u);
+    EXPECT_TRUE(manager.SessionStatuses().empty());
   }
+  EXPECT_EQ(SessionsJson(manager), "{\"sessions\":[]}");
+  // A released id is a typed error on every call, never freed memory.
+  EXPECT_THROW(manager.Submit(last, stream.samples()), nec::CheckError);
+  EXPECT_THROW(manager.SessionStatus(last), nec::CheckError);
+  EXPECT_THROW(manager.TakeOutput(last), nec::CheckError);
+  EXPECT_THROW(static_cast<void>(manager.ReleaseSession(last)),
+               nec::CheckError);
+
+  const auto live = manager.CreateSession(refs);
+  const auto statuses = manager.SessionStatuses();
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_EQ(statuses[0].first, live);
+  EXPECT_NE(SessionsJson(manager).find("\"id\":" + std::to_string(live)),
+            std::string::npos);
 }
 
 TEST_F(SessionManagerTest, ReleaseDiscardsInputNotYetProcessed) {
@@ -417,43 +411,40 @@ TEST_F(SessionManagerTest, ReleaseDiscardsInputNotYetProcessed) {
 TEST_F(SessionManagerTest, SessionsJsonIsSafeWhileSessionsAreReleased) {
   // A monitoring thread renders /sessions while the owning thread opens,
   // streams and releases sessions without draining first, so releases
-  // meet strands and batches still in flight. Every render must see only
-  // live sessions and never read a freed one (ASan and TSan run this).
+  // meet strands still in flight. Every render must see only live
+  // sessions and never read a freed one (ASan and TSan run this).
   const auto spk = synth::SpeakerProfile::FromSeed(27);
   const auto refs = builder_.MakeReferenceAudios(spk, 3, 28);
   const audio::Waveform stream = builder_.MakeUtterance(spk, 29).wave;
-  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
-    SessionManager manager(selector_, encoder_, {},
-                           {.workers = 2, .max_batch = max_batch});
-    std::atomic<std::size_t> renders{0};
-    // Joined on scope exit, before the manager it reads.
-    std::jthread monitor([&](std::stop_token stop) {
-      while (!stop.stop_requested()) {
-        const std::string json = SessionsJson(manager);
-        EXPECT_EQ(json.rfind("{\"sessions\":[", 0), 0u);
-        renders.fetch_add(1);
-      }
-    });
-    std::vector<SessionManager::SessionId> open;
-    for (std::size_t cycle = 0; cycle < 12; ++cycle) {
-      const auto id = manager.CreateSession(refs);
-      ASSERT_TRUE(manager.Submit(id, stream.samples()).ok());
-      open.push_back(id);
-      // Release the session before last while this one streams.
-      if (open.size() == 2) {
-        while (!manager.ReleaseSession(open.front())) {
-          std::this_thread::yield();
-        }
-        open.erase(open.begin());
-      }
+  SessionManager manager(selector_, encoder_, {}, {.workers = 2});
+  std::atomic<std::size_t> renders{0};
+  // Joined on scope exit, before the manager it reads.
+  std::jthread monitor([&](std::stop_token stop) {
+    while (!stop.stop_requested()) {
+      const std::string json = SessionsJson(manager);
+      EXPECT_EQ(json.rfind("{\"sessions\":[", 0), 0u);
+      renders.fetch_add(1);
     }
-    while (!manager.ReleaseSession(open.front())) std::this_thread::yield();
-    while (renders.load() == 0) std::this_thread::yield();
-    monitor.request_stop();
-    monitor.join();
-    EXPECT_EQ(manager.num_sessions(), 0u);
-    EXPECT_EQ(SessionsJson(manager), "{\"sessions\":[]}");
+  });
+  std::vector<SessionManager::SessionId> open;
+  for (std::size_t cycle = 0; cycle < 12; ++cycle) {
+    const auto id = manager.CreateSession(refs);
+    ASSERT_TRUE(manager.Submit(id, stream.samples()).ok());
+    open.push_back(id);
+    // Release the session before last while this one streams.
+    if (open.size() == 2) {
+      while (!manager.ReleaseSession(open.front())) {
+        std::this_thread::yield();
+      }
+      open.erase(open.begin());
+    }
   }
+  while (!manager.ReleaseSession(open.front())) std::this_thread::yield();
+  while (renders.load() == 0) std::this_thread::yield();
+  monitor.request_stop();
+  monitor.join();
+  EXPECT_EQ(manager.num_sessions(), 0u);
+  EXPECT_EQ(SessionsJson(manager), "{\"sessions\":[]}");
 }
 
 TEST_F(SessionManagerTest, RejectBackpressureLeavesSamplesBuffered) {
@@ -545,337 +536,65 @@ TEST_F(SessionManagerTest, DropOldestEvictionUnwedgesSession) {
   EXPECT_GT(manager.TakeOutput(c).size(), 0u);
 }
 
-// ------------------------------------------------------ ContinuousBatcher
-
-/// Collects dispatched batches (as key sequences). The callback can be
-/// gated shut: while closed, every dispatch thread that picks up a batch
-/// records it and then parks inside the callback, so a test can stage a
-/// deterministic backlog while all dispatchers are provably busy.
-struct BatchRecorder {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::vector<void*>> batches;
-  bool gate_open = true;
-
-  ContinuousBatcher::BatchFn Fn() {
-    return [this](std::vector<ContinuousBatcher::Item>&& items) {
-      std::vector<void*> keys;
-      for (const auto& it : items) keys.push_back(it.key);
-      std::unique_lock lock(mu);
-      batches.push_back(std::move(keys));
-      cv.notify_all();
-      cv.wait(lock, [&] { return gate_open; });
-    };
-  }
-
-  void CloseGate() {
-    std::lock_guard lock(mu);
-    gate_open = false;
-  }
-  void OpenGate() {
-    {
-      std::lock_guard lock(mu);
-      gate_open = true;
-    }
-    cv.notify_all();
-  }
-
-  std::size_t WaitForBatches(std::size_t n) {
-    std::unique_lock lock(mu);
-    cv.wait_for(lock, std::chrono::seconds(5),
-                [&] { return batches.size() >= n; });
-    return batches.size();
-  }
-};
-
-audio::Waveform TinyChunk() { return audio::Waveform(16000, std::size_t{16}); }
-
-/// Deadline `ms` milliseconds from a fixed base — tests pass explicit,
-/// distinct deadlines so EDF decisions never depend on clock granularity.
-std::chrono::steady_clock::time_point DeadlineIn(double ms) {
-  static const auto base = std::chrono::steady_clock::now();
-  return base + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(ms));
-}
-
-TEST(ContinuousBatcher, BatchOfOneDispatchesImmediately) {
-  // The defining difference from the PR 4 coalescer: a lone ready chunk
-  // must dispatch on its own, not sit out a hold window waiting for
-  // company that may never come.
-  BatchRecorder rec;
-  int k;
-  ContinuousBatcher batcher({.max_batch = 4, .workers = 1}, rec.Fn());
-  batcher.Enqueue(&k, TinyChunk());
-  ASSERT_EQ(rec.WaitForBatches(1), 1u);
-  EXPECT_EQ(rec.batches[0], (std::vector<void*>{&k}));
-  batcher.Shutdown();
-}
-
-TEST(ContinuousBatcher, BacklogCoalescesUpToMaxBatchInEdfOrder) {
-  // While the single dispatcher is busy, later chunks accumulate; the next
-  // gather takes up to max_batch of them, earliest deadline first.
-  BatchRecorder rec;
-  rec.CloseGate();
-  int gate, k1, k2, k3, k4;
-  ContinuousBatcher batcher({.max_batch = 3, .workers = 1}, rec.Fn());
-  batcher.Enqueue(&gate, TinyChunk());
-  ASSERT_EQ(rec.WaitForBatches(1), 1u);  // dispatcher parked in the gate
-  batcher.EnqueueWithDeadline(&k1, TinyChunk(), DeadlineIn(10));
-  batcher.EnqueueWithDeadline(&k2, TinyChunk(), DeadlineIn(20));
-  batcher.EnqueueWithDeadline(&k3, TinyChunk(), DeadlineIn(30));
-  batcher.EnqueueWithDeadline(&k4, TinyChunk(), DeadlineIn(40));
-  rec.OpenGate();
-  batcher.Drain();
-  ASSERT_EQ(rec.batches.size(), 3u);
-  EXPECT_EQ(rec.batches[0], (std::vector<void*>{&gate}));
-  EXPECT_EQ(rec.batches[1], (std::vector<void*>{&k1, &k2, &k3}));
-  EXPECT_EQ(rec.batches[2], (std::vector<void*>{&k4}));
-  batcher.Shutdown();
-}
-
-TEST(ContinuousBatcher, EdfAdmitsMostUrgentLaneFirst) {
-  // Admission order is deadline order, NOT enqueue order: C is enqueued
-  // last but owns the tightest deadline, so it leads the next batch.
-  BatchRecorder rec;
-  rec.CloseGate();
-  int gate, a, b, c;
-  ContinuousBatcher batcher({.max_batch = 3, .workers = 1}, rec.Fn());
-  batcher.Enqueue(&gate, TinyChunk());
-  ASSERT_EQ(rec.WaitForBatches(1), 1u);
-  batcher.EnqueueWithDeadline(&a, TinyChunk(), DeadlineIn(300));
-  batcher.EnqueueWithDeadline(&b, TinyChunk(), DeadlineIn(200));
-  batcher.EnqueueWithDeadline(&c, TinyChunk(), DeadlineIn(100));
-  rec.OpenGate();
-  batcher.Drain();
-  ASSERT_EQ(rec.batches.size(), 2u);
-  EXPECT_EQ(rec.batches[1], (std::vector<void*>{&c, &b, &a}));
-  batcher.Shutdown();
-}
-
-TEST(ContinuousBatcher, PurgeKeepsEvictedKeyOutOfLaterBatches) {
-  // Drop-oldest eviction contract: once a session is purged, none of its
-  // pending chunks may land in a subsequently dispatched batch.
-  BatchRecorder rec;
-  rec.CloseGate();
-  int gate, k1, k2, k3, k4;
-  ContinuousBatcher batcher({.max_batch = 3, .workers = 1}, rec.Fn());
-  batcher.Enqueue(&gate, TinyChunk());
-  ASSERT_EQ(rec.WaitForBatches(1), 1u);
-  batcher.EnqueueWithDeadline(&k1, TinyChunk(), DeadlineIn(10));
-  batcher.EnqueueWithDeadline(&k2, TinyChunk(), DeadlineIn(20));
-  EXPECT_EQ(batcher.Purge(&k1), 1u);
-  batcher.EnqueueWithDeadline(&k3, TinyChunk(), DeadlineIn(30));
-  batcher.EnqueueWithDeadline(&k4, TinyChunk(), DeadlineIn(40));
-  rec.OpenGate();
-  batcher.Drain();
-  ASSERT_EQ(rec.batches.size(), 2u);
-  EXPECT_EQ(rec.batches[1], (std::vector<void*>{&k2, &k3, &k4}));
-  EXPECT_EQ(batcher.pending(), 0u);
-  batcher.Shutdown();
-}
-
-TEST(ContinuousBatcher, PurgeWhileLaneInFlightRemovesOnlyPending) {
-  // Purge a session while one of its chunks is inside a running batch:
-  // the in-flight chunk completes normally, the queued ones vanish, and
-  // the lane is reusable afterwards (the in-flight claim is released).
-  BatchRecorder rec;
-  rec.CloseGate();
-  int a;
-  ContinuousBatcher batcher({.max_batch = 1, .workers = 1}, rec.Fn());
-  batcher.Enqueue(&a, TinyChunk());
-  ASSERT_EQ(rec.WaitForBatches(1), 1u);  // a's first chunk is in flight
-  batcher.Enqueue(&a, TinyChunk());
-  batcher.Enqueue(&a, TinyChunk());
-  EXPECT_EQ(batcher.pending_for(&a), 2u);
-  EXPECT_EQ(batcher.Purge(&a), 2u);  // in-flight chunk is NOT counted
-  EXPECT_EQ(batcher.pending_for(&a), 0u);
-  rec.OpenGate();
-  batcher.Drain();
-  ASSERT_EQ(rec.batches.size(), 1u);  // purged chunks never dispatched
-  // The lane still works: a fresh chunk dispatches normally.
-  batcher.Enqueue(&a, TinyChunk());
-  ASSERT_EQ(rec.WaitForBatches(2), 2u);
-  EXPECT_EQ(rec.batches[1], (std::vector<void*>{&a}));
-  batcher.Shutdown();
-}
-
-TEST(ContinuousBatcher, StealingPreservesFifoWithinEveryLane) {
-  // Work-stealing stress (TSan target): 4 dispatch threads drain 4 lanes
-  // fed concurrently by 4 producers. Stealing may interleave LANES any
-  // way it likes, but within one lane chunks must arrive strictly in
-  // enqueue order — the lane's in-flight claim serializes them even when
-  // they hop between dispatch threads. Chunk sizes encode sequence
-  // numbers so the callback can verify order without extra plumbing.
-  constexpr std::size_t kLanes = 4;
-  constexpr std::size_t kChunksPerLane = 48;
-  int keys[kLanes];
-  std::mutex mu;
-  std::array<std::size_t, kLanes> next_seq{};
-  std::size_t total = 0;
-  bool order_ok = true;
-  ContinuousBatcher batcher(
-      {.max_batch = 2, .workers = 4},
-      [&](std::vector<ContinuousBatcher::Item>&& items) {
-        std::lock_guard lock(mu);
-        for (const auto& it : items) {
-          const std::size_t lane =
-              static_cast<std::size_t>(static_cast<int*>(it.key) - keys);
-          order_ok &= it.chunk.size() == next_seq[lane] + 1;
-          ++next_seq[lane];
-          ++total;
-        }
-      });
-  std::vector<std::thread> producers;
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    producers.emplace_back([&batcher, &keys, lane] {
-      for (std::size_t seq = 0; seq < kChunksPerLane; ++seq) {
-        batcher.Enqueue(&keys[lane], audio::Waveform(16000, seq + 1));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  batcher.Drain();
-  EXPECT_TRUE(order_ok);
-  EXPECT_EQ(total, kLanes * kChunksPerLane);
-  for (const std::size_t seen : next_seq) {
-    EXPECT_EQ(seen, kChunksPerLane);
-  }
-  batcher.Shutdown();
-}
-
-TEST(ContinuousBatcher, DrainWaitsOutPendingAndInFlight) {
-  BatchRecorder rec;
-  int k;
-  ContinuousBatcher batcher({.max_batch = 4, .workers = 1}, rec.Fn());
-  for (int i = 0; i < 3; ++i) batcher.Enqueue(&k, TinyChunk());
-  batcher.Drain();
-  EXPECT_EQ(batcher.pending(), 0u);
-  std::lock_guard lock(rec.mu);
-  std::size_t total = 0;
-  for (const auto& b : rec.batches) total += b.size();
-  EXPECT_EQ(total, 3u);
-}
-
-TEST(ContinuousBatcher, EnqueueAfterShutdownIsTypedInvariant) {
-  // Regression (ISSUE 7 satellite): the failure mode must be a typed
-  // CheckError — which SessionManager's classifier maps to
-  // ErrorCategory::kInvariant — not a silent drop or a data race on the
-  // joined dispatch threads.
-  BatchRecorder rec;
-  int k;
-  ContinuousBatcher batcher({.max_batch = 2, .workers = 1}, rec.Fn());
-  batcher.Shutdown();
-  try {
-    batcher.Enqueue(&k, TinyChunk());
-    FAIL() << "Enqueue after Shutdown must throw";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("Shutdown"), std::string::npos);
-  }
-}
-
-// ---------------------------------------------- SessionManager (batched)
-
-TEST_F(SessionManagerTest, BatchedSessionsMatchSequentialBitExact) {
-  // The tentpole property: routing chunks through the continuous batcher
-  // (one InferBatch across sessions) must leave every session's output
-  // bit-identical to the sequential single-threaded path.
-  constexpr std::size_t kSessions = 4;
+TEST_F(SessionManagerTest, StrandsYieldSoEverySessionIsServed) {
+  // Twice as many sessions as workers, each fed as fast as it is served
+  // (kept 2 chunks deep). A strand that drained its inbox until empty
+  // would never let go of its worker, and half the sessions would
+  // complete nothing; a strand that re-posts itself after each take lets
+  // every session in. Checked once 48 chunks have completed in total.
+  constexpr std::size_t kSessions = 8;
+  constexpr std::size_t kDepth = 2;
+  constexpr std::uint64_t kTotal = 48;
   SessionManager manager(selector_, encoder_, {},
-                         {.workers = 2,
-                          .queue_capacity = 64,
+                         {.workers = 4,
                           .chunk_s = 1.0,
-                          .kind = core::SelectorKind::kNeural,
-                          .max_batch = 4});
-  ASSERT_TRUE(manager.batching_enabled());
-
-  std::vector<synth::SpeakerProfile> speakers;
+                          .kind = core::SelectorKind::kNeural});
   std::vector<SessionManager::SessionId> ids;
-  std::vector<audio::Waveform> streams;
+  std::vector<audio::Waveform> chunks;
   for (std::size_t i = 0; i < kSessions; ++i) {
-    speakers.push_back(synth::SpeakerProfile::FromSeed(200 + i));
-    ids.push_back(manager.CreateSession(
-        builder_.MakeReferenceAudios(speakers[i], 3, 80 + i)));
-    streams.push_back(builder_.MakeUtterance(speakers[i], 17 + i).wave);
+    const auto spk = synth::SpeakerProfile::FromSeed(600 + i);
+    ids.push_back(
+        manager.CreateSession(builder_.MakeReferenceAudios(spk, 3, 70 + i)));
+    chunks.push_back(builder_.MakeUtterance(spk, 80 + i)
+                         .wave.Slice(0, manager.chunk_samples()));
   }
-
-  const std::size_t piece = 3700;
-  std::size_t pos = 0;
-  bool any_left = true;
-  while (any_left) {
-    any_left = false;
+  std::vector<std::uint64_t> submitted(kSessions, 0), emitted(kSessions, 0);
+  for (;;) {
+    std::uint64_t total = 0;
     for (std::size_t i = 0; i < kSessions; ++i) {
-      if (pos >= streams[i].size()) continue;
-      const std::size_t n = std::min(piece, streams[i].size() - pos);
-      EXPECT_TRUE(
-          manager.Submit(ids[i], streams[i].samples().subspan(pos, n))
-              .ok());
-      any_left = true;
+      emitted[i] = manager.SessionStatus(ids[i]).chunks_emitted;
+      total += emitted[i];
     }
-    pos += piece;
+    if (total >= kTotal) break;
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      manager.TakeOutput(ids[i]);
+      while (submitted[i] - emitted[i] < kDepth) {
+        ASSERT_TRUE(manager.Submit(ids[i], chunks[i].samples()).ok());
+        ++submitted[i];
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    EXPECT_GE(emitted[i], 2u) << "session " << i << " was starved";
   }
   manager.Drain();
-
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    audio::Waveform batched_out = manager.TakeOutput(ids[i]);
-    if (auto tail = manager.Flush(ids[i])) batched_out.Append(*tail);
-
-    core::NecPipeline seq_pipeline(selector_, encoder_, {});
-    seq_pipeline.Enroll(builder_.MakeReferenceAudios(speakers[i], 3, 80 + i));
-    core::StreamingProcessor seq(seq_pipeline, 1.0,
-                                 core::SelectorKind::kNeural);
-    audio::Waveform seq_out;
-    if (auto out = seq.Push(streams[i].samples())) seq_out = std::move(*out);
-    if (auto tail = seq.Flush()) seq_out.Append(*tail);
-
-    ASSERT_EQ(batched_out.size(), seq_out.size()) << "session " << i;
-    for (std::size_t kk = 0; kk < seq_out.size(); ++kk) {
-      ASSERT_EQ(batched_out[kk], seq_out[kk])
-          << "session " << i << " sample " << kk;
-    }
-  }
-
-  const RuntimeStatsSnapshot stats = manager.Stats();
-  // 2.5 s per stream at 1 s chunks: 2 batched chunks + 1 flush tail each.
-  EXPECT_EQ(stats.chunks_processed, kSessions * 3u);
-  EXPECT_EQ(stats.batched_chunks, kSessions * 2u);
-  EXPECT_GT(stats.batches_dispatched, 0u);
-  EXPECT_LE(stats.batches_dispatched, stats.batched_chunks);
-  EXPECT_GE(stats.avg_batch_size, 1.0);
-  EXPECT_LE(stats.max_batch_size, 4u);
-  EXPECT_EQ(stats.queue_wait.count, kSessions * 2u);
 }
 
-TEST_F(SessionManagerTest, BatchingNotEnabledForLasOrUnitBatch) {
-  // The LAS ablation has no batched forward, and max_batch = 1 means the
-  // coalescer would only add latency — both keep the classic strand path.
-  SessionManager las(selector_, encoder_, {},
-                     {.workers = 1,
-                      .kind = core::SelectorKind::kLasMask,
-                      .max_batch = 8});
-  EXPECT_FALSE(las.batching_enabled());
-  SessionManager unit(selector_, encoder_, {},
-                      {.workers = 1,
-                       .kind = core::SelectorKind::kNeural,
-                       .max_batch = 1});
-  EXPECT_FALSE(unit.batching_enabled());
-}
-
-TEST_F(SessionManagerTest, BatchedDropOldestEvictionStress) {
-  // TSan-oriented stress of the batcher under drop-oldest eviction:
-  // Enqueue (strand threads), RunBatch (dispatch threads) and Purge
-  // (AbandonStrand on submitter threads) race on the lanes while
-  // sessions are being evicted. The invariants: no deadlock, no purged
-  // chunk lands in a batch after its eviction (Purge's contract — a
-  // violation shows up as a torn StreamingProcessor latch under TSan), and
-  // the stats stay self-consistent.
+TEST_F(SessionManagerTest, DropOldestEvictionStress) {
+  // TSan-oriented stress of drop-oldest eviction: producers' Submits
+  // evict queued strands (AbandonStrand on the submitter threads) while
+  // running strands take, process and re-post themselves. The invariants:
+  // no deadlock, no evicted backlog processed after its eviction (a
+  // violation shows up as a torn StreamingProcessor under TSan), and the
+  // stats stay self-consistent.
   constexpr std::size_t kSessions = 3;
   SessionManager manager(selector_, encoder_, {},
                          {.workers = 1,
                           .queue_capacity = 1,
                           .policy = OverflowPolicy::kDropOldest,
                           .chunk_s = 1.0,
-                          .kind = core::SelectorKind::kNeural,
-                          .max_batch = 2});
+                          .kind = core::SelectorKind::kNeural});
   std::vector<SessionManager::SessionId> ids;
   std::vector<audio::Waveform> streams;
   for (std::size_t i = 0; i < kSessions; ++i) {
@@ -899,11 +618,9 @@ TEST_F(SessionManagerTest, BatchedDropOldestEvictionStress) {
   manager.Drain();
 
   const RuntimeStatsSnapshot stats = manager.Stats();
-  EXPECT_LE(stats.batched_chunks, stats.chunks_processed);
-  if (stats.batches_dispatched > 0) {
-    EXPECT_GE(stats.avg_batch_size, 1.0);
-    EXPECT_LE(stats.max_batch_size, 2u);
-  }
+  EXPECT_LE(stats.samples_dropped, stats.samples_submitted);
+  EXPECT_LE(stats.chunks_processed * manager.chunk_samples(),
+            stats.samples_submitted - stats.samples_dropped);
   // Every session is idle after Drain: Flush's idle check must pass even
   // for sessions whose strands were evicted mid-stream.
   for (std::size_t i = 0; i < kSessions; ++i) {
@@ -923,8 +640,7 @@ TEST_F(SessionManagerTest, EndToEndLatencyRecordedForEveryChunk) {
                          {.workers = 2,
                           .queue_capacity = 64,
                           .chunk_s = 1.0,
-                          .kind = core::SelectorKind::kNeural,
-                          .max_batch = 2});
+                          .kind = core::SelectorKind::kNeural});
   std::vector<SessionManager::SessionId> ids;
   for (std::size_t i = 0; i < kSessions; ++i) {
     const auto spk = synth::SpeakerProfile::FromSeed(400 + i);
@@ -942,74 +658,6 @@ TEST_F(SessionManagerTest, EndToEndLatencyRecordedForEveryChunk) {
   EXPECT_EQ(stats.e2e_latency.count, stats.chunk_latency.count);
   EXPECT_GT(stats.e2e_latency.p99_ms, 0.0);
   EXPECT_GE(stats.e2e_latency.max_ms + 1e-6, stats.chunk_latency.max_ms);
-}
-
-TEST_F(SessionManagerTest, BatchedThroughputDoesNotRegressAtEightSessions) {
-  // Regression guard for the batching cliff this PR removes: the PR 4
-  // coalescer's hold-the-oldest window made batched serving SLOWER than
-  // unbatched at 8 sessions (0.94x with multi-second queue waits). The
-  // continuous batcher has no hold window, so batched throughput must stay
-  // in the unbatched ballpark or above. Noise control: ctest runs suites
-  // concurrently, so each arm takes the best of three alternating trials
-  // (the least-contended sample) and the floor is a loose 0.75x — any
-  // return of a coalescing wait (which cost 3-10x on tiny chunks) blows
-  // through it instantly.
-  constexpr std::size_t kSessions = 8;
-  std::vector<synth::SpeakerProfile> speakers;
-  std::vector<audio::Waveform> streams;
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    speakers.push_back(synth::SpeakerProfile::FromSeed(500 + i));
-    streams.push_back(builder_.MakeUtterance(speakers[i], 47 + i).wave);
-  }
-
-  const auto run = [&](std::size_t max_batch) {
-    SessionManager manager(selector_, encoder_, {},
-                           {.workers = 2,
-                            .queue_capacity = 256,
-                            .chunk_s = 1.0,
-                            .kind = core::SelectorKind::kNeural,
-                            .max_batch = max_batch});
-    std::vector<SessionManager::SessionId> ids;
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      ids.push_back(manager.CreateSession(
-          builder_.MakeReferenceAudios(speakers[i], 3, 85 + i)));
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t piece = 3700;
-    std::size_t pos = 0;
-    bool any_left = true;
-    while (any_left) {
-      any_left = false;
-      for (std::size_t i = 0; i < kSessions; ++i) {
-        if (pos >= streams[i].size()) continue;
-        const std::size_t n = std::min(piece, streams[i].size() - pos);
-        EXPECT_TRUE(
-            manager.Submit(ids[i], streams[i].samples().subspan(pos, n)).ok());
-        any_left = true;
-      }
-      pos += piece;
-    }
-    manager.Drain();
-    const double wall_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-    const RuntimeStatsSnapshot stats = manager.Stats();
-    EXPECT_EQ(stats.chunks_processed, kSessions * 2u);  // 2.5 s -> 2 chunks
-    return wall_s > 0.0
-               ? static_cast<double>(stats.chunks_processed) / wall_s
-               : 0.0;
-  };
-
-  double unbatched_cps = 0.0;
-  double batched_cps = 0.0;
-  for (int trial = 0; trial < 3; ++trial) {
-    unbatched_cps = std::max(unbatched_cps, run(/*max_batch=*/1));
-    batched_cps = std::max(batched_cps, run(/*max_batch=*/3));
-  }
-  ASSERT_GT(unbatched_cps, 0.0);
-  EXPECT_GE(batched_cps, 0.75 * unbatched_cps)
-      << "batched " << batched_cps << " chunks/s vs unbatched "
-      << unbatched_cps << " — the batching cliff is back";
 }
 
 }  // namespace

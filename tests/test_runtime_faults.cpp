@@ -2,11 +2,10 @@
 //
 // Drives every containment path with the deterministic FaultInjector:
 // per-session error containment (one poisoned session, seven bit-exact
-// survivors), poisoned batch bisection, typed Submit errors
-// (overload / bad input), the deadline-watchdog degradation ladder with
-// recovery probes, and ContinuousBatcher purge-under-fault. Runs under TSan in
-// tools/check.sh — the containment machinery must be race-free, not just
-// correct.
+// survivors), typed Submit errors (overload / bad input), and the
+// deadline-watchdog degradation ladder with recovery probes. Runs under
+// TSan in tools/check.sh — the containment machinery must be race-free,
+// not just correct.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +16,6 @@
 
 #include "common/check.h"
 #include "core/streaming.h"
-#include "runtime/batcher.h"
 #include "runtime/fault.h"
 #include "runtime/session_manager.h"
 #include "runtime/stats.h"
@@ -484,156 +482,6 @@ TEST_F(RuntimeFaultTest, DeadlineWatchdogWalksTheLadderAndRecovers) {
   EXPECT_EQ(status.level, DegradeLevel::kLasFallback);  // = top for LAS
   EXPECT_GE(status.deadline_misses, 4u);
   EXPECT_EQ(status.chunks_emitted, 8u);
-}
-
-TEST_F(RuntimeFaultTest, PoisonedBatchIsBisectedAroundTheVictim) {
-  constexpr std::size_t kSessions = 4;
-  // The continuous batcher has no hold window, so a multi-item batch is
-  // manufactured by occupying the single dispatcher: a gate session's
-  // batch sleeps inside the forward (injected latency) while the four
-  // test sessions' chunks pile into their lanes; the next gather then
-  // takes all four in one batch (max_batch = 4) and the bisection has a
-  // real multi-item batch to split.
-  SessionManager manager(selector_, encoder_, {},
-                         {.workers = 1,
-                          .queue_capacity = 64,
-                          .chunk_s = 1.0,
-                          .kind = core::SelectorKind::kNeural,
-                          .max_batch = kSessions,
-                          .deadline_ms = 10000.0});
-  ASSERT_TRUE(manager.batching_enabled());
-
-  const auto gate_spk = synth::SpeakerProfile::FromSeed(399);
-  const SessionManager::SessionId gate =
-      manager.CreateSession(builder_.MakeReferenceAudios(gate_spk, 3, 409));
-  const audio::Waveform gate_chunk =
-      builder_.MakeUtterance(gate_spk, 419)
-          .wave.Slice(0, manager.chunk_samples());
-
-  std::vector<synth::SpeakerProfile> speakers;
-  std::vector<SessionManager::SessionId> ids;
-  std::vector<audio::Waveform> chunks;
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    speakers.push_back(synth::SpeakerProfile::FromSeed(400 + i));
-    ids.push_back(manager.CreateSession(
-        builder_.MakeReferenceAudios(speakers[i], 3, 410 + i)));
-    chunks.push_back(builder_.MakeUtterance(speakers[i], 420 + i)
-                         .wave.Slice(0, manager.chunk_samples()));
-  }
-  const SessionManager::SessionId victim = ids[2];
-  // Generous latency so the four enqueues land well inside the window
-  // even under TSan/ASan slowdowns and suite-level ctest contention.
-  FaultInjector::Global().Arm("batch.item",
-                              {.kind = FaultInjector::Kind::kLatency,
-                               .latency_ms = 3000.0,
-                               .key = gate,
-                               .limit = 1});
-  FaultInjector::Global().Arm("batch.item",
-                              {.kind = FaultInjector::Kind::kThrow,
-                               .category = ErrorCategory::kInvariant,
-                               .key = victim});
-
-  EXPECT_TRUE(manager.Submit(gate, gate_chunk.samples()).ok());
-  // AddBatch fires at RunBatch entry, before the injected sleep: once the
-  // counter ticks, the sole dispatcher is pinned inside the gate batch.
-  while (manager.Stats().batches_dispatched < 1) std::this_thread::yield();
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    EXPECT_TRUE(manager.Submit(ids[i], chunks[i].samples()).ok());
-  }
-  manager.Drain();  // must return: the poisoned batch cannot stall FIFO
-
-  const RuntimeStatsSnapshot stats = manager.Stats();
-  EXPECT_GE(stats.batch_splits, 2u);  // 4 → 2+2 → 1+1 isolates the victim
-  EXPECT_EQ(stats.faults, 1u);
-  // kSessions - 1 survivors plus the gate session's chunk.
-  EXPECT_EQ(stats.chunks_processed, kSessions);
-  EXPECT_GE(stats.max_batch_size, kSessions);
-
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    if (ids[i] == victim) continue;
-    // Survivors' single chunk is bit-identical to the sequential
-    // per-chunk path (no tail: the submit was exactly one chunk).
-    core::NecPipeline pipeline(selector_, encoder_, {});
-    pipeline.Enroll(builder_.MakeReferenceAudios(speakers[i], 3, 410 + i));
-    core::StreamingProcessor seq(pipeline, 1.0,
-                                 core::SelectorKind::kNeural);
-    const auto want = seq.Push(chunks[i].samples());
-    ASSERT_TRUE(want.has_value());
-    ExpectBitIdentical(manager.TakeOutput(ids[i]), *want, "batch survivor");
-  }
-  const SessionStatus faulted = manager.SessionStatus(victim);
-  EXPECT_EQ(faulted.state, SessionState::kFaulted);
-  EXPECT_EQ(faulted.error->category, ErrorCategory::kInvariant);
-  EXPECT_EQ(faulted.chunks_emitted, 0u);
-
-  // The batcher keeps serving after the fault, and the victim recovers.
-  FaultInjector::Global().DisarmAll();
-  manager.ResetSession(victim);
-  EXPECT_TRUE(manager.Submit(victim, chunks[2].samples()).ok());
-  manager.Drain();
-  EXPECT_EQ(manager.SessionStatus(victim).chunks_emitted, 1u);
-  EXPECT_GT(manager.TakeOutput(victim).size(), 0u);
-}
-
-// -------------------------------------- ContinuousBatcher purge-under-fault
-
-TEST(ContinuousBatcherFaults, PurgedSessionNeitherStallsNorReordersSurvivors) {
-  // Two sessions' chunks interleave across lanes while the sole dispatch
-  // thread is parked inside a gate batch; purging one session must leave
-  // the survivor's items dispatching in FIFO order with no stall. Chunk
-  // sizes encode identity + sequence.
-  std::vector<std::pair<void*, std::size_t>> completed;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool gate_open = false;
-  int gate_marker = 0;
-  int a_marker = 0;
-  int b_marker = 0;
-  ContinuousBatcher batcher(
-      {.max_batch = 8, .workers = 1},
-      [&](std::vector<ContinuousBatcher::Item>&& items) {
-        std::unique_lock lock(mu);
-        for (const auto& it : items) {
-          completed.emplace_back(it.key, it.chunk.size());
-        }
-        cv.notify_all();
-        cv.wait(lock, [&] { return gate_open; });
-      });
-
-  // Pin the dispatcher: its batch {gate} records, then parks in the gate.
-  batcher.Enqueue(&gate_marker, audio::Waveform(1000, std::size_t{1}));
-  {
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return !completed.empty(); });
-  }
-  batcher.Enqueue(&a_marker, audio::Waveform(1000, std::size_t{10}));
-  batcher.Enqueue(&b_marker, audio::Waveform(1000, std::size_t{11}));
-  batcher.Enqueue(&a_marker, audio::Waveform(1000, std::size_t{20}));
-  batcher.Enqueue(&b_marker, audio::Waveform(1000, std::size_t{21}));
-  batcher.Enqueue(&a_marker, audio::Waveform(1000, std::size_t{30}));
-  // Session A faults while its chunks sit in its lane: purge all three.
-  EXPECT_EQ(batcher.Purge(&a_marker), 3u);
-  EXPECT_EQ(batcher.pending_for(&a_marker), 0u);
-  EXPECT_EQ(batcher.pending_for(&b_marker), 2u);
-
-  {
-    std::lock_guard lock(mu);
-    gate_open = true;
-  }
-  cv.notify_all();
-  batcher.Drain();  // must not hang on the purged items
-  {
-    std::lock_guard lock(mu);
-    const std::vector<std::pair<void*, std::size_t>> want = {
-        {&gate_marker, std::size_t{1}},
-        {&b_marker, std::size_t{11}},
-        {&b_marker, std::size_t{21}}};
-    EXPECT_EQ(completed, want);
-  }
-
-  // Purging everything while nothing is pending is a harmless no-op.
-  EXPECT_EQ(batcher.Purge(&b_marker), 0u);
-  batcher.Shutdown();
 }
 
 }  // namespace

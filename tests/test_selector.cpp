@@ -81,105 +81,6 @@ TEST(Selector, InferWritesNoObservableState) {
   EXPECT_EQ(sel.LastForwardMacs(), macs_before);
 }
 
-TEST(Selector, InferBatchMatchesLoopedInferBitExact) {
-  // The micro-batching coalescer (runtime/batcher.h) replaces N Infer calls
-  // with one InferBatch; every session's shadow must keep its exact bits.
-  const NecConfig cfg = TinyConfig();
-  Selector sel(cfg, 61);
-  const Selector& shared = sel;
-  for (const std::size_t B : {1u, 2u, 7u}) {
-    std::vector<nn::Tensor> mags;
-    std::vector<std::vector<float>> dvecs;
-    for (std::size_t b = 0; b < B; ++b) {
-      mags.push_back(RandomSpec(11, cfg.num_bins(), 600 + 10 * B + b));
-      dvecs.push_back(RandomDvec(cfg.embedding_dim, 900 + 10 * B + b));
-    }
-    std::vector<const nn::Tensor*> mag_ptrs;
-    std::vector<const std::vector<float>*> dvec_ptrs;
-    for (std::size_t b = 0; b < B; ++b) {
-      mag_ptrs.push_back(&mags[b]);
-      dvec_ptrs.push_back(&dvecs[b]);
-    }
-    const std::vector<nn::Tensor> batched =
-        shared.InferBatch(mag_ptrs, dvec_ptrs);
-    ASSERT_EQ(batched.size(), B);
-    for (std::size_t b = 0; b < B; ++b) {
-      const nn::Tensor one = shared.Infer(mags[b], dvecs[b]);
-      ASSERT_EQ(batched[b].numel(), one.numel());
-      for (std::size_t i = 0; i < one.numel(); ++i) {
-        ASSERT_EQ(batched[b][i], one[i])
-            << "B=" << B << " item=" << b << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(Selector, InferBatchHandlesDistinctDvectorsPerItem) {
-  // Items with different speaker conditioning must not bleed into each
-  // other: item i's batched output equals its solo output even when the
-  // neighbours carry very different d-vectors.
-  const NecConfig cfg = TinyConfig();
-  Selector sel(cfg, 62);
-  const nn::Tensor mag = RandomSpec(8, cfg.num_bins(), 620);
-  const auto d1 = RandomDvec(cfg.embedding_dim, 621);
-  auto d2 = d1;
-  for (float& v : d2) v = -3.0f * v;
-  const std::vector<const nn::Tensor*> mags{&mag, &mag};
-  const std::vector<const std::vector<float>*> dvecs{&d1, &d2};
-  const auto batched = sel.InferBatch(mags, dvecs);
-  const nn::Tensor solo1 = sel.Infer(mag, d1);
-  const nn::Tensor solo2 = sel.Infer(mag, d2);
-  double diff = 0.0;
-  for (std::size_t i = 0; i < solo1.numel(); ++i) {
-    ASSERT_EQ(batched[0][i], solo1[i]);
-    ASSERT_EQ(batched[1][i], solo2[i]);
-    diff += std::abs(static_cast<double>(solo1[i]) - solo2[i]);
-  }
-  EXPECT_GT(diff, 1e-3);  // the conditioning actually differed
-}
-
-TEST(Selector, InferBatchRejectsMismatchedInputs) {
-  const NecConfig cfg = TinyConfig();
-  Selector sel(cfg, 63);
-  const nn::Tensor a = RandomSpec(6, cfg.num_bins(), 630);
-  const nn::Tensor b = RandomSpec(7, cfg.num_bins(), 631);  // frame mismatch
-  const auto d = RandomDvec(cfg.embedding_dim, 632);
-  EXPECT_THROW(sel.InferBatch({&a, &b}, {&d, &d}), nec::CheckError);
-  EXPECT_THROW(sel.InferBatch({}, {}), nec::CheckError);
-  EXPECT_THROW(sel.InferBatch({&a, &a}, {&d}), nec::CheckError);
-}
-
-TEST(Selector, ComputeShadowBatchMatchesLoopedComputeShadow) {
-  // ComputeShadowBatch layers the per-instance gain normalization on top of
-  // InferBatch; it must reproduce ComputeShadow bit-for-bit per item.
-  const NecConfig cfg = TinyConfig();
-  Selector sel(cfg, 64);
-  Rng rng(640);
-  std::vector<dsp::Spectrogram> specs;
-  std::vector<std::vector<float>> dvecs;
-  for (std::size_t b = 0; b < 3; ++b) {
-    dsp::Spectrogram spec(9, cfg.num_bins());
-    for (auto& m : spec.mag()) m = std::abs(rng.GaussianF(0.0f, 0.4f));
-    specs.push_back(std::move(spec));
-    dvecs.push_back(RandomDvec(cfg.embedding_dim, 650 + b));
-  }
-  std::vector<const dsp::Spectrogram*> spec_ptrs;
-  std::vector<const std::vector<float>*> dvec_ptrs;
-  for (std::size_t b = 0; b < 3; ++b) {
-    spec_ptrs.push_back(&specs[b]);
-    dvec_ptrs.push_back(&dvecs[b]);
-  }
-  const auto batched = sel.ComputeShadowBatch(spec_ptrs, dvec_ptrs);
-  ASSERT_EQ(batched.size(), 3u);
-  for (std::size_t b = 0; b < 3; ++b) {
-    const auto one = sel.ComputeShadow(specs[b], dvecs[b]);
-    ASSERT_EQ(batched[b].size(), one.size());
-    for (std::size_t i = 0; i < one.size(); ++i) {
-      ASSERT_EQ(batched[b][i], one[i]) << "item=" << b << " i=" << i;
-    }
-  }
-}
-
 TEST(Selector, HandlesVariableFrameCounts) {
   const NecConfig cfg = TinyConfig();
   Selector sel(cfg);

@@ -143,9 +143,9 @@ if [[ "${BENCH_SMOKE}" == "1" ]]; then
   # JSON, honest deadline accounting (deadline_met must be derived from
   # end-to-end latency, never compute-only p99), and the audit booleans
   # true. The same validator then re-checks the COMMITTED
-  # BENCH_hotpath.json, where it additionally enforces the multi-core
-  # batching target (>= 1.5x at 8 sessions with >= 4 dispatch workers)
-  # whenever the recording machine had >= 4 cores.
+  # BENCH_hotpath.json, where it additionally enforces strand scaling
+  # (>= 2.5x chunks/s at 4 workers over 1) whenever the recording
+  # machine had >= 4 cores.
   bench_validate() {
   python3 - "$1" "$2" <<'EOF'
 import json, sys
@@ -158,58 +158,36 @@ assert rt["all_bitexact"] is True, "runtime outputs not bit-exact"
 assert rt["rows"], "no throughput rows"
 assert "hardware_concurrency" in rt, "runtime_throughput lacks hardware_concurrency"
 for r in rt["rows"]:
-    for k in ("workers", "chunks_per_sec", "p99_ms", "e2e_p50_ms",
-              "e2e_p99_ms", "deadline_met"):
+    for k in ("workers", "chunks_per_sec", "speedup_vs_1", "p99_ms",
+              "e2e_p50_ms", "e2e_p99_ms", "bitexact", "deadline_met"):
         assert k in r, f"throughput row missing {k!r}"
+    assert r["bitexact"] is True, f"throughput row not bit-exact: {r}"
     # Honest accounting: the verdict must be the end-to-end p99 (queue
     # wait included), not the compute-only chunk latency.
     assert r["deadline_met"] == (r["e2e_p99_ms"] < rt["deadline_ms"]), \
         f"deadline_met not derived from e2e latency in row {r}"
 
-ba = doc["batched"]
-assert ba["all_bitexact"] is True, "batched outputs not bit-exact"
-assert ba["rows"], "no batched rows"
-assert ba["max_batch"] >= 2, "batched section ran without batching"
-assert "hardware_concurrency" in ba, "batched section lacks hardware_concurrency"
-assert "multicore_pending" in ba, "batched section lacks multicore_pending"
-required = ("sessions", "workers", "max_batch",
-            "unbatched_chunks_per_sec", "batched_chunks_per_sec",
-            "speedup_batched_vs_unbatched", "avg_batch_size",
-            "queue_wait_p99_ms", "p99_ms", "e2e_p50_ms", "e2e_p99_ms",
-            "bitexact", "deadline_met")
-for r in ba["rows"]:
-    assert all(k in r for k in required), f"batched row missing fields: {r}"
-    assert r["bitexact"] is True, f"batched row not bit-exact: {r}"
-    assert r["deadline_met"] == (r["e2e_p99_ms"] < ba["deadline_ms"]), \
-        f"deadline_met not derived from e2e latency in row {r}"
-
 if committed:
-    assert not rt.get("smoke") and not ba.get("smoke"), \
+    assert not rt.get("smoke"), \
         "committed BENCH_hotpath.json contains smoke data"
-    assert all(r["deadline_met"] for r in ba["rows"]), \
-        "a committed batched row misses the paced e2e deadline"
-    hw = ba["hardware_concurrency"]
+    hw = rt["hardware_concurrency"]
     if hw >= 4:
-        assert not ba["multicore_pending"], \
-            ">= 4 cores but multicore_pending is set"
-        multi = [r for r in ba["rows"]
-                 if r["workers"] >= 4 and r["sessions"] >= 8]
-        assert multi, "no >= 4-worker batched row on a >= 4-core machine"
-        best = max(r["speedup_batched_vs_unbatched"] for r in multi)
-        assert best >= 1.5, \
-            f"multi-core batched speedup {best:.2f}x < 1.5x target"
-        print(f"bench check: multi-core target met ({best:.2f}x)")
+        at4 = [r for r in rt["rows"] if r["workers"] == 4]
+        assert at4, "no 4-worker throughput row on a >= 4-core machine"
+        speedup = at4[0]["speedup_vs_1"]
+        assert speedup >= 2.5, \
+            f"strand scaling at 4 workers {speedup:.2f}x < 2.5x target"
+        print(f"bench check: strand scaling target met ({speedup:.2f}x"
+              " at 4 workers)")
     else:
-        assert ba["multicore_pending"] is True, \
-            "< 4 cores but multicore_pending is unset"
-        print("bench check: NOTE — recorded on < 4 cores; the 1.5x "
-              "multi-core batched target is PENDING a >= 4-core machine")
+        print("bench check: NOTE — recorded on < 4 cores; the 2.5x "
+              "strand-scaling target is PENDING a >= 4-core machine")
 else:
     t2 = doc["table2_modules"]
     assert "selector_nec_ms" in t2 and "total_ms" in t2
 
 print(("committed" if committed else "bench smoke") + ": BENCH json ok,",
-      len(rt["rows"]), "throughput rows,", len(ba["rows"]), "batched rows")
+      len(rt["rows"]), "throughput rows")
 EOF
   }
   bench_validate "${SMOKE_JSON}" smoke
@@ -276,7 +254,7 @@ if [[ "${OBS}" == "1" ]]; then
   # stdout. The stream is long enough that the scrape below happens while
   # sessions are live.
   ./build-check-release/examples/necd \
-    --sessions 2 --seconds 20 --max-batch 2 --metrics-port 0 \
+    --sessions 2 --seconds 20 --metrics-port 0 \
     --trace-out "${OBS_DIR}/trace.json" \
     > "${OBS_DIR}/necd.out" 2> "${OBS_DIR}/necd.err" &
   NECD_PID=$!
@@ -320,18 +298,16 @@ EOF
   trap - EXIT
 
   # The SIGINT/SIGTERM drain path dumps a Chrome trace; validate it is
-  # loadable JSON with per-chunk stage spans and batch flow links.
+  # loadable JSON with per-chunk stage spans and the strand span. (Flow
+  # links come from the wire; CHECK_FLEET_OBS gates them.)
   python3 - "${OBS_DIR}/trace.json" <<'EOF'
 import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
 phases = {e["ph"] for e in events}
 names = {e.get("name") for e in events}
 assert "X" in phases, "no spans in trace"
-assert {"s", "f"} <= phases, "no batch flow links in trace"
-# A fully-batched run records the _batch variant of the shadow span.
-assert names & {"pipeline.generate_shadow", "pipeline.generate_shadow_batch"}, \
-    "missing pipeline.generate_shadow[_batch] span"
-for span in ("dsp.stft", "dsp.istft", "channel.modulate_am", "runtime.batch"):
+for span in ("pipeline.generate_shadow", "dsp.stft", "dsp.istft",
+             "channel.modulate_am", "runtime.strand"):
     assert span in names, f"missing span {span!r}"
 print(f"obs check: trace well-formed, {len(events)} events,"
       f" {len(names)} distinct names")
